@@ -4,11 +4,13 @@
 For each seeded instance this compares the merging rule against the
 water-level solve (should agree to machine precision), against the
 structure-blind numerical optimizer (pay-off within 1e-4), and against the
-large-t slice of the exponential family.  Prints worst-case gaps.
+large-t slice of the exponential family.  Prints the worst-case gaps as
+one JSON line, so runs can be compared by machine.
 
 Usage: python scripts/cross_check_solvers.py [instances] [seed]
 """
 
+import json
 import sys
 import time
 
@@ -49,10 +51,14 @@ def main(instances=60, seed=12345):
             gap = float(np.max(np.abs(sol.lengths.real_lengths + np.log2(wm))))
             worst_t = max(worst_t, gap)
 
-    print(f"{instances} instances in {time.time() - start:.1f}s")
-    print(f"worst merge-vs-water gap:      {worst_water:.3e}")
-    print(f"worst merge-vs-optimizer gap:  {worst_bf:.3e}")
-    print(f"worst merge-vs-t=200 gap:      {worst_t:.3e}")
+    print(json.dumps({
+        "instances": instances,
+        "seed": seed,
+        "seconds": round(time.time() - start, 3),
+        "merge_vs_water": worst_water,
+        "merge_vs_optimizer": worst_bf,
+        "merge_vs_t200": worst_t,
+    }))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .distributions import ProbabilityVector
 from .errors import NoConvergence, SizeMismatch
@@ -58,7 +57,8 @@ def entropy(probs: np.ndarray, radix: int) -> float:
     """Entropy in base ``radix``; zero entries contribute nothing."""
     p = np.asarray(probs, dtype=float)
     nz = p[p > 0]
-    return float(-np.dot(nz, np.log(nz)) / np.log(radix))
+    # 0.0 - x, not -x: a point mass has entropy +0.0, not -0.0
+    return float(0.0 - np.dot(nz, np.log(nz)) / np.log(radix))
 
 
 def snap_ceil(values: np.ndarray) -> np.ndarray:
@@ -69,19 +69,30 @@ def snap_ceil(values: np.ndarray) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def lengths_from_weights(w: WeightVector, radix: int) -> CodeLengths:
-    """Lengths are ``-log_radix`` of the weights; integers are the ceiling."""
-    lnD = np.log(radix)
-    real = -np.log(w.weights) / lnD
+def _pack_lengths(real: np.ndarray, radix: int) -> CodeLengths:
+    """Bundle real lengths with their snapped ceilings and both Kraft sums.
+
+    The one length packer: every solver that produces real lengths returns
+    them through here.  ``real`` is adopted, not copied.
+    """
+    real += 0.0  # -0.0 + 0.0 is +0.0, so a one-symbol code has length 0, not -0
     ints = snap_ceil(real)
+    lnD = np.log(radix)
     return CodeLengths(
         real_lengths=real,
         int_lengths=ints,
         radix=int(radix),
         max_length=float(real.max()),
-        kraft_real=float(np.exp(logsumexp(-real * lnD))),
-        kraft_int=float(np.exp(logsumexp(-ints * lnD))),
+        kraft_real=float(np.exp(real * -lnD).sum()),
+        kraft_int=float(np.exp(ints * -lnD).sum()),
     )
+
+
+def lengths_from_weights(w: WeightVector, radix: int) -> CodeLengths:
+    """Lengths are ``-log_radix`` of the weights; integers are the ceiling."""
+    real = np.log(w.weights)
+    real /= -np.log(radix)
+    return _pack_lengths(real, radix)
 
 
 def payoff(lengths: CodeLengths, p: ProbabilityVector, alpha: float) -> PayoffReport:
@@ -225,15 +236,7 @@ def brute_force_optimal(
             bound = max(bound, entropy(w, p.radix))
     gap = value - bound
 
-    ints = snap_ceil(real)
-    lengths = CodeLengths(
-        real_lengths=real,
-        int_lengths=ints,
-        radix=p.radix,
-        max_length=mx,
-        kraft_real=float(q.sum()),
-        kraft_int=float(np.sum(np.power(float(p.radix), -ints))),
-    )
+    lengths = _pack_lengths(real, p.radix)
     if not gap <= tol:
         raise NoConvergence(
             f"certified pay-off gap {gap:.3e} exceeds tol {tol:.1e}",

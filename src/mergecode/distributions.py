@@ -124,7 +124,9 @@ def canonicalize(
     order = np.argsort(-arr, kind="stable")
     probs = np.ascontiguousarray(arr[order])
     if labels is not None:
-        labels = tuple(labels[i] for i in order)
+        ordered = np.empty(len(labels), dtype=object)
+        ordered[:] = labels
+        labels = tuple(ordered[order])
 
     return ProbabilityVector(
         probs=probs,
@@ -148,7 +150,7 @@ def from_counts(
     if not counts:
         raise AllZeroCounts("no counts given")
     labels = [str(k) for k in counts]
-    values = np.asarray([counts[k] for k in counts], dtype=float)
+    values = np.fromiter(counts.values(), dtype=float, count=len(counts))
     if np.any(values < 0) or not np.all(np.isfinite(values)):
         raise NotNormalizable("counts must be finite and non-negative")
     total = values.sum()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .codes import CodeLengths, snap_ceil
+from .codes import CodeLengths, _pack_lengths
 from .distributions import ProbabilityVector
 from .errors import InvalidParam, NoConvergence, SizeMismatch
 
@@ -44,19 +44,6 @@ class ExpPayoffReport:
     exp_term: float
     avg_length: float
     renyi: float | None
-
-
-def _lengths_pack(real: np.ndarray, radix: int) -> CodeLengths:
-    lnD = np.log(radix)
-    ints = snap_ceil(real)
-    return CodeLengths(
-        real_lengths=real,
-        int_lengths=ints,
-        radix=int(radix),
-        max_length=float(real.max()),
-        kraft_real=float(np.exp(logsumexp(-real * lnD))),
-        kraft_int=float(np.exp(logsumexp(-ints * lnD))),
-    )
 
 
 def _tilt(log_p: np.ndarray, t: float, lengths: np.ndarray, lnD: float) -> np.ndarray:
@@ -101,7 +88,7 @@ def solve_two_parameter(
         # no tilt (or no weight on it): the average-length optimum directly
         nu = np.exp(_tilt(log_p, t, shannon, lnD))
         return TiltedSolution(
-            t=t, alpha=alpha, lengths=_lengths_pack(shannon, p.radix),
+            t=t, alpha=alpha, lengths=_pack_lengths(shannon, p.radix),
             nu=nu, iterations=1, residual=0.0,
         )
 
@@ -122,7 +109,7 @@ def solve_two_parameter(
             best_res, best_l = res, l_new
         if res <= tol:
             return TiltedSolution(
-                t=t, alpha=alpha, lengths=_lengths_pack(l_new, p.radix),
+                t=t, alpha=alpha, lengths=_pack_lengths(l_new, p.radix),
                 nu=np.exp(log_nu), iterations=iteration, residual=res,
             )
         if res > prev_res:
@@ -131,7 +118,7 @@ def solve_two_parameter(
         prev_res = res
 
     best = TiltedSolution(
-        t=t, alpha=alpha, lengths=_lengths_pack(best_l, p.radix),
+        t=t, alpha=alpha, lengths=_pack_lengths(best_l, p.radix),
         nu=np.exp(_tilt(log_p, t, best_l, lnD)),
         iterations=max_iter, residual=best_res,
     )
@@ -156,7 +143,7 @@ def closed_form_alpha1(p: ProbabilityVector, t: float) -> CodeLengths:
     log_p = np.log(p.probs)
     log_norm = logsumexp(a * log_p)
     real = (-a * log_p + log_norm) / lnD
-    return _lengths_pack(real, p.radix)
+    return _pack_lengths(real, p.radix)
 
 
 def renyi_entropy(p: ProbabilityVector, a: float) -> float:

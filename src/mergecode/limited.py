@@ -1,8 +1,11 @@
 """Minimum average length under a hard cap on the maximum length.
 
-The cap maps to a specific alpha of the max/average trade-off: walk the
-merge segments until the shared weight is large enough that the longest
-codeword fits, then solve the segment's line for the exact alpha.
+The cap maps to a specific alpha of the max/average trade-off.  The shared
+weight at the breakpoints is non-decreasing, so one binary search finds the
+first segment whose shared weight grows to ``D**-l_lim`` (where the longest
+codeword fits), and that segment's line gives the exact alpha.  Where
+near-tied probabilities make the float weights dip by an ulp, the segments
+there have near-zero width and their lines give the same alpha to rounding.
 """
 
 from __future__ import annotations
@@ -42,9 +45,15 @@ def alpha_for_limit(
     Three regimes: a cap at or above the unconstrained maximum length needs
     no trade-off (alpha 0); a cap equal to log_D(n) forces the uniform code
     (alpha_max); in between, the cap pins the shared weight to
-    ``D**-l_lim`` and the active segment's line yields
+    ``D**-l_lim``.  With ``m`` symbols merged in the active segment and
+    ``S_m`` their total mass, the merged block holds ``alpha + (1-alpha)*S_m``,
+    so
 
-        alpha = 1 - (1 - |merged| * D**-l_lim) / (unmerged mass).
+        alpha = (m * D**-l_lim - S_m) / (1 - S_m).
+
+    ``S_m`` is summed over the merged symbols themselves, not taken as 1
+    minus the rest, so the difference keeps its relative accuracy when alpha
+    is tiny.
 
     Raises Infeasible (carrying log_D(n)) for caps below log_D(n).
     """
@@ -70,17 +79,13 @@ def alpha_for_limit(
     if l_lim <= no_compression + EXACT_LIMIT_WINDOW:
         return schedule.alpha_max
 
-    # max length at the right edge of segment k is -log of the next
-    # breakpoint's shared weight; advance while it still overshoots the cap
-    k = 0
-    while k < n - 2:
-        edge_max = -np.log(float(schedule.wstar_at_breakpoint[k + 1])) / lnD
-        if edge_max <= l_lim:
-            break
-        k += 1
+    # segment k ends where the shared weight reaches wstar[k+1]; the active
+    # one is the first whose right edge meets the cap (the last, n-2, if none)
+    target = p.radix ** (-l_lim)
+    k = int(np.searchsorted(schedule.wstar_at_breakpoint[1:n - 1], target))
     merged = k + 1
-    unmerged_mass = float(schedule.tail_mass[k])
-    return 1.0 - (1.0 - merged * p.radix ** (-l_lim)) / unmerged_mass
+    merged_mass = float(probs[n - merged:].sum())
+    return (merged * target - merged_mass) / (1.0 - merged_mass)
 
 
 def limited_code(

@@ -76,49 +76,53 @@ class WeightVector:
 def build_schedule(p: ProbabilityVector) -> MergeSchedule:
     """Compute all breakpoints and segment coefficients in O(n).
 
-    The recursion advances one merged symbol per step: with the k+1 smallest
-    symbols already merged, the next breakpoint is
+    Merging the next candidate probability ``p_next`` into a block whose
+    most recently merged probability is ``p_cur`` scales the unmerged share
+    ``1 - alpha`` by a known factor:
 
-        alphas[k+1] = alphas[k] + (1 - alphas[k]) * (p_next - p_cur)
-                                  / (slope[k] + p_next)
+        1 - alphas[k+1] = (1 - alphas[k]) * (slope[k] + p_cur)
+                                          / (slope[k] + p_next)
 
-    where ``p_cur``/``p_next`` are the most recently merged and the next
-    candidate probability.  No compression remains possible beyond
-    ``alpha_max = 1 - 1/(n * p_max)``.
+    so ``log(1 - alphas)`` is a cumulative sum of ``log1p`` terms, taken as
+    one numpy pass.  ``-expm1`` of that sum keeps full relative accuracy in
+    the small breakpoints, which ``1 - cumprod`` of the factors would lose.
+    No compression remains possible beyond ``alpha_max = 1 - 1/(n * p_max)``.
     """
     probs = p.probs
     n = probs.size
     alpha_max = 1.0 - 1.0 / (n * float(probs[0]))
 
-    # head_mass[i] = sum of the i+1 largest probabilities
+    # head_mass[i] = sum of the i+1 largest probabilities; segment k leaves
+    # head_mass[n-2-k] unmerged, summed from the head for accuracy when p_min
+    # is tiny
     head_mass = np.cumsum(probs)
+    tail_mass = np.zeros(n)
+    tail_mass[:-1] = head_mass[-2::-1]
+    card = np.arange(1, n + 1, dtype=np.intp)
+    slope = tail_mass / card
+
+    # log(1 - alphas[k+1]) = sum over j <= k of
+    #     log1p(-(p_next - p_cur) / (slope[j] + p_next))
+    ascending = probs[::-1]
+    p_cur, p_next = ascending[:-1], ascending[1:]
+    log_keep = np.subtract(p_cur, p_next)
+    log_keep /= slope[:-1] + p_next
+    np.log1p(log_keep, out=log_keep)
+    np.cumsum(log_keep, out=log_keep)
 
     alphas = np.zeros(n)
-    tail_mass = np.zeros(n)
-    wstar = np.zeros(n)
-    slope = np.zeros(n)
-
-    tail_mass[0] = 1.0 - float(probs[-1])
-    if n >= 2:
-        # recompute from the head sum for accuracy when p_min is tiny
-        tail_mass[0] = float(head_mass[n - 2])
-    slope[0] = tail_mass[0]
-    wstar[0] = float(probs[-1])
-
-    a = 0.0
-    for k in range(n - 1):
-        p_cur = float(probs[n - 1 - k])
-        p_next = float(probs[n - 2 - k])
-        a = a + (1.0 - a) * (p_next - p_cur) / (slope[k] + p_next)
-        alphas[k + 1] = a
-        tail_mass[k + 1] = float(head_mass[n - 3 - k]) if k < n - 2 else 0.0
-        slope[k + 1] = tail_mass[k + 1] / (k + 2)
-        wstar[k + 1] = (1.0 - a) * p_next
+    np.expm1(log_keep, out=alphas[1:])
+    # 0.0 - x, not -x: ties at p_min give breakpoints +0.0, not -0.0
+    np.subtract(0.0, alphas[1:], out=alphas[1:])
+    wstar = np.empty(n)
+    wstar[0] = probs[-1]
+    np.exp(log_keep, out=wstar[1:])
+    wstar[1:] *= p_next
 
     return MergeSchedule(
         alphas=alphas,
         alpha_max=alpha_max,
-        card=np.arange(1, n + 1, dtype=np.intp),
+        card=card,
         wstar_at_breakpoint=wstar,
         tail_mass=tail_mass,
         slope=slope,

@@ -37,29 +37,31 @@ class WaterLevel:
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not (0.0 <= alpha < 1.0) or not np.isfinite(alpha):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1), got {alpha}")
+    if not (0.0 <= alpha <= 1.0) or not np.isfinite(alpha):
+        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     return alpha
 
 
 def _flood_suffix_size(probs: np.ndarray, alpha: float) -> tuple[int, float]:
-    """Largest suffix size m whose closed-form level is admissible.
+    """Largest suffix size m whose closed-form level reaches into the suffix.
 
-    level(m) = (alpha + (1 - alpha) * mass of the m smallest) / m, valid when
-    it sits between the scaled probabilities just inside and just outside the
-    suffix.  Ties flood together because the scan prefers the largest m.
+    level(m) = (alpha + (1 - alpha) * mass of the m smallest) / m is
+    admissible when it is at least the scaled probability just inside the
+    suffix.  ``m * scaled_inside(m) - m * level(m)`` never decreases in m, so
+    the admissible sizes run from 1 up to the flooded count, and the largest
+    one also stays at or below the scaled probability just outside; ties
+    flood together.  All n candidates are evaluated at once.  m = 1 is always
+    admissible; at alpha = 1 every m is, and the level is 1/n.
     """
     n = probs.size
-    scaled = (1.0 - alpha) * probs
-    tail = np.cumsum(probs[::-1])  # tail[m-1] = mass of the m smallest
-    for m in range(n, 0, -1):
-        level = (alpha + (1.0 - alpha) * float(tail[m - 1])) / m
-        if level < float(scaled[n - m]):
-            continue
-        if m < n and level > float(scaled[n - m - 1]):
-            continue
-        return m, level
-    raise AssertionError("no admissible flood suffix; input violates invariants")
+    ascending = probs[::-1]
+    level = np.cumsum(ascending)  # mass of the m smallest
+    level *= 1.0 - alpha
+    level += alpha
+    level /= np.arange(1, n + 1)
+    admissible = level >= (1.0 - alpha) * ascending
+    m = n - int(np.argmax(admissible[::-1]))
+    return m, float(level[m - 1])
 
 
 def water_level(p: ProbabilityVector, alpha: float) -> WaterLevel:
@@ -102,17 +104,17 @@ def alpha_for_level(p: ProbabilityVector, level: float) -> float:
     if level <= float(probs[-1]):
         return 0.0
 
-    tail = np.cumsum(probs[::-1])
-    candidates = []
-    for m in range(1, n):
-        tail_m = float(tail[m - 1])
-        alpha = (m * level - tail_m) / (1.0 - tail_m)
-        if not (0.0 <= alpha < 1.0):
-            continue
-        scaled_in = (1.0 - alpha) * float(probs[n - m])
-        scaled_out = (1.0 - alpha) * float(probs[n - m - 1])
-        if scaled_in <= level + LEVEL_SLACK and level <= scaled_out + LEVEL_SLACK:
-            candidates.append(alpha)
-    if not candidates:
+    # candidate alpha for each suffix size m = 1 .. n-1, kept where the level
+    # sits between the scaled probabilities just inside and just outside
+    tail = np.cumsum(probs[:0:-1])  # tail[m-1] = mass of the m smallest
+    alpha = np.arange(1, n, dtype=float)
+    alpha *= level
+    alpha -= tail
+    alpha /= 1.0 - tail
+    keep = 1.0 - alpha
+    admissible = (alpha >= 0.0) & (alpha < 1.0)
+    admissible &= keep * probs[:0:-1] <= level + LEVEL_SLACK
+    admissible &= level <= keep * probs[-2::-1] + LEVEL_SLACK
+    if not admissible.any():
         raise AssertionError("no admissible suffix when inverting the level")
-    return min(candidates)
+    return float(alpha[admissible].min())

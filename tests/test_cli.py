@@ -77,6 +77,17 @@ class TestCode:
         assert doc["weights"] == [0.5, 0.25, 0.125, 0.125]
         assert doc["lengths_int"] == [1, 2, 3, 3]
 
+    def test_single_symbol_prints_no_negative_zero(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"radix": 2, "probabilities": [1.0]}))
+        code, out, _ = run(capsys, "code", "--input", str(path), "--alpha", "0.5")
+        assert code == 0
+        assert "-0" not in out
+        doc = json.loads(out)
+        assert doc["lengths_real"] == [0.0]
+        for key in ("payoff", "avg_length", "max_length", "entropy_w", "entropy_p"):
+            assert doc[key] == 0.0
+
     def test_determinism(self, capsys, ex2_path):
         _, out1, _ = run(capsys, "code", "--input", ex2_path, "--alpha", "0.3")
         _, out2, _ = run(capsys, "code", "--input", ex2_path, "--alpha", "0.3")
@@ -131,6 +142,17 @@ class TestWaterfill:
         assert set(doc) == {"level", "alpha", "flooded_count", "weights"}
         assert doc["level"] == pytest.approx(0.125)
         assert doc["flooded_count"] == 2
+
+    def test_alpha_one_is_uniform(self, capsys, tmp_path):
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps({"radix": 2, "probabilities": [0.5, 0.3, 0.2]}))
+        code, out, _ = run(capsys, "waterfill", "--input", str(path), "--alpha", "1.0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["alpha"] == 1.0
+        assert doc["level"] == pytest.approx(1 / 3, abs=1e-12)
+        assert doc["flooded_count"] == 3
+        np.testing.assert_allclose(doc["weights"], 1 / 3, atol=1e-12)
 
     def test_by_level(self, capsys, ex2_path):
         code, out, _ = run(

@@ -42,6 +42,17 @@ class TestAlphaForLimit:
         lmax = -np.log2(1 / 15)
         assert alpha_for_limit(four_symbol_source, lmax) == 0.0
 
+    def test_cap_just_below_uncapped_max_with_tiny_p_min(self):
+        # alpha is far below the rounding of 1 here, so it has to come from
+        # the merged mass itself, not from 1 - (1 - m*D^-L)/tail_mass
+        p = canonicalize([0.4, 0.2, 0.15, 0.1, 0.08, 0.04, 0.03, 1e-19], 2)
+        uncapped_max = -np.log2(p.probs[-1])
+        for below in (1e-3, 0.5, 2.0):
+            cap = uncapped_max - below
+            result = limited_code(p, cap)
+            assert 0.0 < result.alpha_hat < 1e-17
+            assert result.lengths.max_length <= cap * (1 + 1e-12)
+
 
 class TestLimitedCode:
     def test_cap_four_lengths_and_average(self, eight_symbol_source):

@@ -39,7 +39,7 @@ class TestWaterLevel:
 
     def test_alpha_range(self, four_symbol_source):
         with pytest.raises(AlphaOutOfRange):
-            water_level(four_symbol_source, 1.0)
+            water_level(four_symbol_source, np.nextafter(1.0, 2.0))
         with pytest.raises(AlphaOutOfRange):
             water_level(four_symbol_source, -0.1)
 
