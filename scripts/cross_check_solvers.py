@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from mergecode import (
-    brute_force_optimal,
     build_schedule,
     canonicalize,
     optimal_code,
@@ -26,6 +25,7 @@ from mergecode import (
     waterfill_weights,
     weights_at,
 )
+from mergecode.oracle import brute_force_optimal
 
 
 def main(instances=60, seed=12345):

@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .codes import (
     CodeLengths,
     PayoffReport,
-    brute_force_optimal,
     default_alpha_grid,
     entropy,
     lengths_from_weights,
@@ -71,7 +70,6 @@ __all__ = [
     # codes and pay-offs
     "CodeLengths", "PayoffReport", "lengths_from_weights", "payoff",
     "optimal_code", "payoff_curve", "default_alpha_grid", "entropy",
-    "brute_force_optimal",
     # limited length
     "LimitedCodeResult", "alpha_for_limit", "limited_code",
     # exponential pay-off

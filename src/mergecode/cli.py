@@ -8,8 +8,8 @@ Subcommands cover every solver: ``schedule`` (breakpoints and sweep data),
 Every subcommand has an object form (json) and a tabular form (csv),
 selected by ``--format``; the default is whichever is natural for the
 subcommand.  Exit status: 0 on success, 2 when a constraint is infeasible,
-1 for input or parameter errors.  Output is deterministic: identical inputs
-and flags produce identical bytes.
+1 for input or parameter errors, usage errors included.  Output is
+deterministic: identical inputs and flags produce identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -37,26 +39,58 @@ log = logging.getLogger("mergecode")
 
 # 12 significant digits so plotted kinks land where they were computed
 FLOAT_FMT = "%.12g"
+# characters that make a CSV field need quoting (RFC 4180)
+CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def _fmt(x) -> str:
     return FLOAT_FMT % float(x)
 
 
-def _jsonable(obj):
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(_fmt(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+def _float_cells(values: np.ndarray) -> list[str]:
+    """``FLOAT_FMT`` of every value, by one string-format operation."""
+    values = values.tolist()
+    return ((FLOAT_FMT + "\n") * len(values) % tuple(values)).split("\n")[:-1]
+
+
+def _json_items(values: list) -> list[str]:
+    """JSON texts of a list's numbers or bools, by the C encoder."""
+    return json.dumps(values)[1:-1].split(", ") if values else []
+
+
+def _csv_label(label: str) -> str:
+    """A label as an RFC 4180 field: quoted only if it holds , " CR or LF."""
+    if CSV_SPECIAL.search(label):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+def _cells(col, json_form: bool) -> list[str]:
+    """The texts of one column: an array, or a list of labels.
+
+    Floats are printed with ``FLOAT_FMT``; as JSON they are those strings
+    read back as floats, so a JSON float is ``repr(float("%.12g" % x))``.
+    Ints and bools read the same in CSV and JSON.
+    """
+    if not isinstance(col, np.ndarray):
+        if json_form:
+            return list(map(encode_basestring_ascii, col))
+        return list(map(_csv_label, col))
+    if col.dtype.kind == "f":
+        cells = _float_cells(col)
+        return _json_items(list(map(float, cells))) if json_form else cells
+    return _json_items(col.tolist())
+
+
+def _scalar_cell(value, json_form: bool) -> str:
+    if value is None:
+        return "null"
+    col = [value] if isinstance(value, str) else np.array([value])
+    return _cells(col, json_form)[0]
+
+
+def _is_column(value) -> bool:
+    return isinstance(value, (np.ndarray, list, tuple))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -66,33 +100,53 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc, output: str | None) -> None:
-    _emit(json.dumps(_jsonable(doc), indent=2) + "\n", output)
+def _emit_json(doc: dict, output: str | None) -> None:
+    """A JSON object laid out as ``json.dumps(doc, indent=2)`` would.
+
+    Values are scalars, arrays, or lists of labels.
+    """
+    fields = []
+    for key, value in doc.items():
+        if not _is_column(value):
+            text = _scalar_cell(value, True)
+        elif len(value):
+            text = "[\n    " + ",\n    ".join(_cells(value, True)) + "\n  ]"
+        else:
+            text = "[]"
+        fields.append(f"  {encode_basestring_ascii(key)}: {text}")
+    _emit("{\n" + ",\n".join(fields) + "\n}\n", output)
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    return str(v)
+def _emit_rows(table: dict, args) -> None:
+    """One result table, as CSV lines or a JSON array of row objects.
 
-
-def _emit_rows(rows: list[dict], args) -> None:
-    """One result table, as CSV lines or a JSON array of row objects."""
-    if args.format == "json":
-        _emit_json(rows, args.output)
+    ``table`` maps each column name to an array, a list of labels, or one
+    scalar shared by every row; it has at least one non-scalar column.
+    """
+    n = next(len(v) for v in table.values() if _is_column(v))
+    json_form = args.format == "json"
+    columns = [
+        _cells(v, json_form) if _is_column(v) else [_scalar_cell(v, json_form)] * n
+        for v in table.values()
+    ]
+    if json_form:
+        columns = [
+            [f"    {encode_basestring_ascii(key)}: {cell}" for cell in col]
+            for key, col in zip(table, columns)
+        ]
+        rows = "\n  },\n  {\n".join(map(",\n".join, zip(*columns)))
+        _emit("[\n  {\n" + rows + "\n  }\n]\n" if n else "[]\n", args.output)
         return
-    header = list(rows[0]) if rows else []
-    lines = [",".join(header)]
-    lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
+    # an empty table has an empty header line
+    lines = [",".join(table) if n else ""]
+    lines += map(",".join, zip(*columns))
     _emit("\n".join(lines) + "\n", args.output)
 
 
-def _emit_object(doc: dict, rows: list[dict], args) -> None:
+def _emit_object(doc: dict, table: dict, args) -> None:
     """Object-shaped result with a tabular alternative for --format csv."""
     if args.format == "csv":
-        _emit_rows(rows, args)
+        _emit_rows(table, args)
     else:
         _emit_json(doc, args.output)
 
@@ -109,59 +163,54 @@ def _load_input(args) -> ProbabilityVector:
 
 
 def _labels_of(p: ProbabilityVector) -> tuple[str, ...]:
-    return p.labels if p.labels is not None else tuple(
-        str(i) for i in range(p.size)
-    )
+    return p.labels if p.labels is not None else tuple(map(str, range(p.size)))
 
 
-def _symbol_rows(p, alpha, weights, lengths) -> list[dict]:
-    labels = _labels_of(p)
-    return [
-        {
-            "alpha": float(alpha),
-            "symbol_index": int(p.perm[i]),
-            "label": labels[i],
-            "weight": float(weights[i]),
-            "real_length": float(lengths.real_lengths[i]),
-            "int_length": int(lengths.int_lengths[i]),
-        }
-        for i in range(p.size)
-    ]
+def _symbol_table(p, alpha, weights, lengths) -> dict:
+    return {
+        "alpha": float(alpha),
+        "symbol_index": p.perm,
+        "label": _labels_of(p),
+        "weight": weights,
+        "real_length": lengths.real_lengths,
+        "int_length": lengths.int_lengths,
+    }
 
 
 def cmd_schedule(args) -> int:
     p = _load_input(args)
     schedule = build_schedule(p)
     if args.grid is None:
-        rows = [
-            {
-                "k": k,
-                "alpha_k": float(schedule.alphas[k]),
-                "cardinality": int(schedule.card[k]),
-                "wstar": float(schedule.wstar_at_breakpoint[k]),
-                "slope": float(schedule.slope[k]),
-            }
-            for k in range(schedule.size)
-        ]
+        table = {
+            "k": np.arange(schedule.size),
+            "alpha_k": schedule.alphas,
+            "cardinality": schedule.card,
+            "wstar": schedule.wstar_at_breakpoint,
+            "slope": schedule.slope,
+        }
     elif args.per_symbol:
-        rows = []
-        for a in default_alpha_grid(schedule, args.grid):
-            w = weights_at(schedule, p, float(a))
-            lengths = lengths_from_weights(w, p.radix)
-            rows += _symbol_rows(p, float(a), w.weights, lengths)
+        grid = default_alpha_grid(schedule, args.grid)
+        weights = [weights_at(schedule, p, float(a)) for a in grid]
+        lengths = [lengths_from_weights(w, p.radix) for w in weights]
+        table = {
+            "alpha": np.repeat(grid, p.size),
+            "symbol_index": np.tile(p.perm, grid.size),
+            "label": _labels_of(p) * grid.size,
+            "weight": np.concatenate([w.weights for w in weights]),
+            "real_length": np.concatenate([l.real_lengths for l in lengths]),
+            "int_length": np.concatenate([l.int_lengths for l in lengths]),
+        }
     else:
-        rows = []
-        for a in default_alpha_grid(schedule, args.grid):
-            _, _, report = optimal_code(p, float(a), schedule)
-            rows.append({
-                "alpha": report.alpha,
-                "payoff": report.payoff,
-                "avg_length": report.avg_length,
-                "max_length": report.max_length,
-                "entropy_w": report.entropy_w,
-                "cardinality": merged_cardinality(schedule, float(a)),
-            })
-    _emit_rows(rows, args)
+        grid = default_alpha_grid(schedule, args.grid)
+        reports = [optimal_code(p, float(a), schedule)[2] for a in grid]
+        table = {
+            key: np.array([getattr(r, key) for r in reports])
+            for key in ("alpha", "payoff", "avg_length", "max_length", "entropy_w")
+        }
+        table["cardinality"] = np.array(
+            [merged_cardinality(schedule, float(a)) for a in grid]
+        )
+    _emit_rows(table, args)
     return 0
 
 
@@ -171,8 +220,8 @@ def cmd_code(args) -> int:
     doc = {
         "alpha": report.alpha,
         "radix": p.radix,
-        "labels": list(_labels_of(p)),
-        "perm": [int(i) for i in p.perm],
+        "labels": _labels_of(p),
+        "perm": p.perm,
         "weights": w.weights,
         "lengths_real": lengths.real_lengths,
         "lengths_int": lengths.int_lengths,
@@ -184,7 +233,7 @@ def cmd_code(args) -> int:
         "kraft_real": lengths.kraft_real,
         "kraft_int": lengths.kraft_int,
     }
-    _emit_object(doc, _symbol_rows(p, args.alpha, w.weights, lengths), args)
+    _emit_object(doc, _symbol_table(p, args.alpha, w.weights, lengths), args)
     return 0
 
 
@@ -209,8 +258,8 @@ def cmd_limited(args) -> int:
         "avg_length": result.avg_length,
         "max_length": result.lengths.max_length,
     }
-    rows = _symbol_rows(p, result.alpha_hat, result.weights.weights, result.lengths)
-    _emit_object(doc, rows, args)
+    table = _symbol_table(p, result.alpha_hat, result.weights.weights, result.lengths)
+    _emit_object(doc, table, args)
     return 0
 
 
@@ -240,20 +289,16 @@ def cmd_exp(args) -> int:
         "avg_length": report.avg_length,
         "renyi": report.renyi,
     }
-    labels = _labels_of(p)
-    rows = [
-        {
-            "t": sol.t,
-            "alpha": sol.alpha,
-            "symbol_index": int(p.perm[i]),
-            "label": labels[i],
-            "nu": float(sol.nu[i]),
-            "real_length": float(sol.lengths.real_lengths[i]),
-            "int_length": int(sol.lengths.int_lengths[i]),
-        }
-        for i in range(p.size)
-    ]
-    _emit_object(doc, rows, args)
+    table = {
+        "t": sol.t,
+        "alpha": sol.alpha,
+        "symbol_index": p.perm,
+        "label": _labels_of(p),
+        "nu": sol.nu,
+        "real_length": sol.lengths.real_lengths,
+        "int_length": sol.lengths.int_lengths,
+    }
+    _emit_object(doc, table, args)
     return 0
 
 
@@ -267,36 +312,30 @@ def cmd_waterfill(args) -> int:
     doc = {
         "level": wl.level,
         "alpha": wl.alpha,
-        "flooded_count": len(wl.flooded),
+        "flooded_count": wl.flooded_count,
         "weights": w.weights,
     }
-    labels = _labels_of(p)
-    rows = [
-        {
-            "alpha": wl.alpha,
-            "symbol_index": int(p.perm[i]),
-            "label": labels[i],
-            "weight": float(w.weights[i]),
-            "flooded": i in wl.flooded,
-        }
-        for i in range(p.size)
-    ]
-    _emit_object(doc, rows, args)
+    table = {
+        "alpha": wl.alpha,
+        "symbol_index": p.perm,
+        "label": _labels_of(p),
+        "weight": w.weights,
+        "flooded": np.arange(p.size) >= p.size - wl.flooded_count,
+    }
+    _emit_object(doc, table, args)
     return 0
 
 
 def cmd_extend(args) -> int:
     p = _load_input(args)
-    rows = []
-    for m in range(1, args.n + 1):
-        report = extension_bounds(p, args.alpha, m)
-        rows.append({
-            "n": m,
-            "lower": report.lower,
-            "per_symbol": report.per_symbol_payoff,
-            "upper": report.upper,
-        })
-    _emit_rows(rows, args)
+    reports = [extension_bounds(p, args.alpha, m) for m in range(1, args.n + 1)]
+    table = {
+        "n": np.array([r.n for r in reports], dtype=int),
+        "lower": np.array([r.lower for r in reports], dtype=float),
+        "per_symbol": np.array([r.per_symbol_payoff for r in reports], dtype=float),
+        "upper": np.array([r.upper for r in reports], dtype=float),
+    }
+    _emit_rows(table, args)
     return 0
 
 
@@ -305,12 +344,14 @@ def cmd_ingest(args) -> int:
     if not path.exists():
         raise MergeCodeError(f"input file not found: {path}")
     if args.raw:
-        data = path.read_bytes()
-        counts: dict[str, int] = {}
-        for byte in data:
-            key = f"0x{byte:02x}"
-            counts[key] = counts.get(key, 0) + 1
-        p = from_counts(counts, args.radix or 2)
+        data = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        counts = np.bincount(data, minlength=256)
+        # symbols in order of first occurrence; canonicalize's stable sort
+        # breaks count ties by this order
+        symbols, first = np.unique(data, return_index=True)
+        symbols = symbols[np.argsort(first, kind="stable")]
+        labels = ["0x%02x" % b for b in symbols.tolist()]
+        p = from_counts(dict(zip(labels, counts[symbols].tolist())), args.radix or 2)
     else:
         p = load_distribution(
             path, radix_override=args.radix, drop_zeros=args.drop_zeros
@@ -321,18 +362,26 @@ def cmd_ingest(args) -> int:
     doc = {
         "radix": p.radix,
         "probabilities": p.probs,
-        "labels": list(labels),
+        "labels": labels,
     }
-    rows = [
-        {"label": labels[i], "probability": float(p.probs[i])}
-        for i in range(p.size)
-    ]
-    _emit_object(doc, rows, args)
+    _emit_object(doc, {"label": labels, "probability": p.probs}, args)
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the status of input or parameter errors.
+
+    argparse's own status 2 would read as "infeasible".  Subcommand parsers
+    are made with the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mergecode",
         description="Optimal real-valued prefix-code lengths for "
         "max/average length trade-offs.",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .codes import CodeLengths, _pack_lengths
 from .distributions import ProbabilityVector
@@ -46,10 +45,16 @@ class ExpPayoffReport:
     renyi: float | None
 
 
+def _logsumexp(z: np.ndarray) -> float:
+    """``log(sum(exp(z)))``, shifted by the maximum so nothing overflows."""
+    top = z.max()
+    return float(top + np.log(np.exp(z - top).sum()))
+
+
 def _tilt(log_p: np.ndarray, t: float, lengths: np.ndarray, lnD: float) -> np.ndarray:
     """log of the tilted distribution: p reweighted by D**(t*l), normalized."""
     z = log_p + t * lengths * lnD
-    return z - logsumexp(z)
+    return z - _logsumexp(z)
 
 
 def solve_two_parameter(
@@ -141,7 +146,7 @@ def closed_form_alpha1(p: ProbabilityVector, t: float) -> CodeLengths:
     a = 1.0 / (1.0 + t)
     lnD = np.log(p.radix)
     log_p = np.log(p.probs)
-    log_norm = logsumexp(a * log_p)
+    log_norm = _logsumexp(a * log_p)
     real = (-a * log_p + log_norm) / lnD
     return _pack_lengths(real, p.radix)
 
@@ -153,7 +158,7 @@ def renyi_entropy(p: ProbabilityVector, a: float) -> float:
         raise InvalidParam(f"order must be positive, got {a}")
     if a == 1.0:
         raise InvalidParam("order 1 is the plain entropy; use codes.entropy")
-    log_sum = logsumexp(a * np.log(p.probs))
+    log_sum = _logsumexp(a * np.log(p.probs))
     return float(log_sum / ((1.0 - a) * np.log(p.radix)))
 
 
@@ -182,7 +187,7 @@ def payoff_t(
         exp_term = avg
         renyi = None
     else:
-        exp_term = float(logsumexp(np.log(p.probs) + t * l * lnD) / (t * lnD))
+        exp_term = float(_logsumexp(np.log(p.probs) + t * l * lnD) / (t * lnD))
         renyi = renyi_entropy(p, 1.0 / (1.0 + t))
     return ExpPayoffReport(
         payoff_t=alpha * exp_term + (1.0 - alpha) * avg,

@@ -28,11 +28,21 @@ LEVEL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class WaterLevel:
-    """Common clipped weight and the suffix of symbols it applies to."""
+    """Common clipped weight and the suffix of symbols it applies to.
+
+    The flooded symbols are the last ``flooded_count`` of the ``size``
+    symbols in canonical order.
+    """
 
     level: float
     alpha: float
-    flooded: frozenset[int]
+    flooded_count: int
+    size: int
+
+    @property
+    def flooded(self) -> frozenset[int]:
+        """Canonical indices of the flooded symbols."""
+        return frozenset(range(self.size - self.flooded_count, self.size))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -67,11 +77,8 @@ def _flood_suffix_size(probs: np.ndarray, alpha: float) -> tuple[int, float]:
 def water_level(p: ProbabilityVector, alpha: float) -> WaterLevel:
     """Solve the clipped-excess equation exactly for one alpha."""
     alpha = _check_alpha(alpha)
-    n = p.size
     m, level = _flood_suffix_size(p.probs, alpha)
-    return WaterLevel(
-        level=level, alpha=alpha, flooded=frozenset(range(n - m, n))
-    )
+    return WaterLevel(level=level, alpha=alpha, flooded_count=m, size=p.size)
 
 
 def waterfill_weights(p: ProbabilityVector, alpha: float) -> WeightVector:

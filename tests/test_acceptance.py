@@ -12,7 +12,6 @@ import pytest
 from mergecode import (
     Infeasible,
     alpha_for_limit,
-    brute_force_optimal,
     build_schedule,
     canonicalize,
     closed_form_alpha1,
@@ -29,6 +28,7 @@ from mergecode import (
     waterfill_weights,
     weights_at,
 )
+from mergecode.oracle import brute_force_optimal
 
 EX1 = [8 / 15, 4 / 15, 2 / 15, 1 / 15]
 EX2 = [9 / 26, 5 / 26, 4 / 26, 2 / 26, 2 / 26, 2 / 26, 1 / 26, 1 / 26]

@@ -1,9 +1,20 @@
+import contextlib
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mergecode.cli import main
+import mergecode
+from mergecode.cli import FLOAT_FMT, _emit_json, _emit_rows, main
 
 EX1 = {"radix": 2, "probabilities": [8 / 15, 4 / 15, 2 / 15, 1 / 15]}
 EX2 = {
@@ -210,6 +221,13 @@ class TestIngest:
         assert doc["probabilities"] == [0.75, 0.25]
         assert doc["labels"] == ["0x61", "0x62"]
 
+    def test_raw_ties_keep_first_occurrence_order(self, capsys, tmp_path):
+        raw = tmp_path / "data.bin"
+        raw.write_bytes(b"zzyx\x00yx\x00")
+        code, out, _ = run(capsys, "ingest", "--input", str(raw), "--raw")
+        assert code == 0
+        assert json.loads(out)["labels"] == ["0x7a", "0x79", "0x78", "0x00"]
+
     def test_ingested_file_feeds_other_commands(self, capsys, ex2_path, tmp_path):
         out_path = tmp_path / "dist.json"
         run(capsys, "ingest", "--input", ex2_path, "--output", str(out_path))
@@ -252,7 +270,41 @@ class TestFormats:
         assert json.loads(out)["weights"] == [0.5, 0.5]
 
 
+class TestCsvLabels:
+    LABELS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain"]
+
+    @pytest.mark.parametrize("argv", [
+        ["code", "--alpha", "0.3"],
+        ["exp", "--t", "2.0", "--alpha", "0.5"],
+        ["waterfill", "--alpha", "0.3"],
+        ["ingest"],
+    ])
+    def test_labels_read_back(self, capsys, tmp_path, argv):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({
+            "radix": 2,
+            "probabilities": [0.4, 0.25, 0.2, 0.1, 0.05],
+            "labels": self.LABELS,
+        }))
+        code, out, _ = run(
+            capsys, argv[0], "--input", str(path), *argv[1:], "--format", "csv"
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out, newline=""))
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[header.index("label")] for row in rows] == self.LABELS
+
+
 class TestErrors:
+    def test_usage_error_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["code", "--alpha", "0.1"])  # no --input
+        assert exc.value.code == 1
+        assert "--input" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "code", "--input", str(tmp_path / "nope.json"), "--alpha", "0.1"
@@ -266,3 +318,190 @@ class TestErrors:
         code, _, err = run(capsys, "code", "--input", str(path), "--alpha", "0.1")
         assert code == 1
         assert "radix" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(mergecode.__file__).parent.parent)
+    code = (
+        "import sys; import mergecode.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# Reference serializer: the per-element route the CLI used before it wrote
+# whole columns.  The CLI must print the same bytes for any table or object
+# (CSV labels with , " CR or LF aside, which it now quotes).
+
+def _jsonable(obj):
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(FLOAT_FMT % float(obj))
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    return obj
+
+
+def _csv_cell(v) -> str:
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    if isinstance(v, (float, np.floating)):
+        return FLOAT_FMT % float(v)
+    return str(v)
+
+
+def reference_json(doc) -> str:
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
+
+
+def reference_csv(rows: list[dict]) -> str:
+    header = list(rows[0]) if rows else []
+    lines = [",".join(header)]
+    lines += [",".join(_csv_cell(row[k]) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def table_rows(table: dict) -> list[dict]:
+    n = next(len(v) for v in table.values() if isinstance(v, (np.ndarray, list)))
+    return [
+        {k: v[i] if isinstance(v, (np.ndarray, list)) else v for k, v in table.items()}
+        for i in range(n)
+    ]
+
+
+def printed(emit, *args) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        emit(*args)
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 2.0, 1e16, 123456789012345.0, 5e-324,
+    float("inf"), float("-inf"), float("nan"),
+]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+plain_labels = st.text(st.characters(blacklist_characters=',"\r\n'))
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(0, 12))
+    return {
+        "x": np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=float),
+        "k": np.array(draw(st.lists(st.integers(-2**62, 2**62), min_size=n,
+                                    max_size=n)), dtype=np.int64),
+        "flag": np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                         dtype=bool),
+        "label": draw(st.lists(plain_labels, min_size=n, max_size=n)),
+        "shared": draw(st.one_of(floats, st.integers(-9, 9), st.booleans())),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables(), st.lists(st.text(), max_size=5), st.none() | floats | st.text())
+def test_serializer_matches_reference(table, labels, scalar):
+    doc = {**table, "labels": labels, "scalar": scalar, "count": len(labels)}
+    assert printed(_emit_json, doc, None) == reference_json(doc)
+    for fmt in ("json", "csv"):
+        args = SimpleNamespace(format=fmt, output=None)
+        rows = table_rows(table)
+        want = reference_json(rows) if fmt == "json" else reference_csv(rows)
+        assert printed(_emit_rows, table, args) == want
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: every subcommand x format on a few small sources, pinned by
+# the sha256 of its stdout, its exit code and its stderr.  Print the current
+# values with ``PYTHONPATH=src python tests/test_cli.py``.
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_golden.json"
+GOLDEN_SOURCES = {
+    "ex1.json": EX1,
+    "ex2.json": EX2,
+    "one.json": {"radix": 2, "probabilities": [1.0]},
+    "r3.json": {
+        "radix": 3,
+        "probabilities": [0.1, 0.3, 0.2, 0.2, 0.15, 0.05],
+        "labels": ["x y", "ünï", "z", "w", "v", "u"],
+    },
+}
+# bytes with ties in their counts, so first-occurrence order shows
+GOLDEN_RAW = b"abracadabra \xff\x00\x80\xff mergecode\x00"
+GOLDEN_COMMANDS = [
+    ["schedule"],
+    ["schedule", "--grid", "11"],
+    ["schedule", "--grid", "11", "--per-symbol"],
+    ["code", "--alpha", "0.3"],
+    ["code", "--alpha", "0.0"],
+    ["code", "--alpha", "1.0"],
+    ["limited", "--llim", "3.5"],
+    ["limited", "--llim", "0.5"],
+    ["exp", "--t", "2.0", "--alpha", "0.5"],
+    ["exp", "--t", "0.0", "--alpha", "0.5"],
+    ["waterfill", "--alpha", "0.3"],
+    ["waterfill", "--level", "0.1"],
+    ["waterfill", "--level", "0.9"],
+    ["extend", "--n", "2", "--alpha", "0.3"],
+    ["ingest"],
+]
+
+
+def golden_outputs(workdir: Path) -> dict:
+    """Run every golden invocation; key is the argv with bare file names."""
+    import hashlib
+
+    for name, doc in GOLDEN_SOURCES.items():
+        (workdir / name).write_text(json.dumps(doc))
+    (workdir / "bytes.bin").write_bytes(GOLDEN_RAW)
+    invocations = [
+        [cmd[0], "--input", name, *cmd[1:], "--format", fmt]
+        for name in GOLDEN_SOURCES
+        for cmd in GOLDEN_COMMANDS
+        for fmt in ("json", "csv")
+    ]
+    invocations += [
+        ["ingest", "--input", "bytes.bin", "--raw", "--format", fmt]
+        for fmt in ("json", "csv")
+    ]
+    out = {}
+    for argv in invocations:
+        real = [str(workdir / a) if a in GOLDEN_SOURCES or a == "bytes.bin" else a
+                for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(real)
+        out[" ".join(argv)] = {
+            "stdout_sha256": hashlib.sha256(stdout.getvalue().encode()).hexdigest(),
+            "exit": code,
+            "stderr": stderr.getvalue(),
+        }
+    return out
+
+
+def test_golden_outputs(tmp_path):
+    want = json.loads(GOLDEN_PATH.read_text())
+    got = golden_outputs(tmp_path)
+    assert set(got) == set(want)
+    for argv in want:
+        assert got[argv] == want[argv], argv
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump(golden_outputs(Path(tmp)), sys.stdout, indent=1, ensure_ascii=False)
+        sys.stdout.write("\n")

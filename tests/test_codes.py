@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mergecode import (
     NoConvergence,
     SizeMismatch,
-    brute_force_optimal,
     build_schedule,
     canonicalize,
     default_alpha_grid,
@@ -20,6 +19,7 @@ from mergecode import (
 )
 from mergecode.codes import snap_ceil
 from mergecode.merging import WeightVector
+from mergecode.oracle import brute_force_optimal
 from conftest import random_source
 
 

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from mergecode import (
     AlphaOutOfRange,
     alpha_for_limit,
-    brute_force_optimal,
     build_schedule,
     canonicalize,
     merged_cardinality,
     weights_at,
 )
+from mergecode.oracle import brute_force_optimal
 from conftest import random_source
 
 
