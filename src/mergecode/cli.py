@@ -26,13 +26,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codes import default_alpha_grid, lengths_from_weights, optimal_code
+from .codes import (
+    default_alpha_grid,
+    lengths_on_grid,
+    optimal_code,
+    payoff_columns,
+)
 from .distributions import ProbabilityVector, from_counts, load_distribution
-from .errors import Infeasible, MergeCodeError, NoConvergence
+from .errors import Infeasible, InvalidParam, MergeCodeError, NoConvergence
 from .exponential import payoff_t, solve_two_parameter
 from .extension import extension_bounds
 from .limited import limited_code
-from .merging import build_schedule, merged_cardinality, weights_at
+from .merging import build_schedule
 from .waterfilling import alpha_for_level, water_level, waterfill_weights
 
 log = logging.getLogger("mergecode")
@@ -190,26 +195,17 @@ def cmd_schedule(args) -> int:
         }
     elif args.per_symbol:
         grid = default_alpha_grid(schedule, args.grid)
-        weights = [weights_at(schedule, p, float(a)) for a in grid]
-        lengths = [lengths_from_weights(w, p.radix) for w in weights]
+        weights, real, ints = lengths_on_grid(p, grid, schedule)
         table = {
             "alpha": np.repeat(grid, p.size),
             "symbol_index": np.tile(p.perm, grid.size),
             "label": _labels_of(p) * grid.size,
-            "weight": np.concatenate([w.weights for w in weights]),
-            "real_length": np.concatenate([l.real_lengths for l in lengths]),
-            "int_length": np.concatenate([l.int_lengths for l in lengths]),
+            "weight": weights.ravel(),
+            "real_length": real.ravel(),
+            "int_length": ints.ravel(),
         }
     else:
-        grid = default_alpha_grid(schedule, args.grid)
-        reports = [optimal_code(p, float(a), schedule)[2] for a in grid]
-        table = {
-            key: np.array([getattr(r, key) for r in reports])
-            for key in ("alpha", "payoff", "avg_length", "max_length", "entropy_w")
-        }
-        table["cardinality"] = np.array(
-            [merged_cardinality(schedule, float(a)) for a in grid]
-        )
+        table = payoff_columns(p, default_alpha_grid(schedule, args.grid), schedule)
     _emit_rows(table, args)
     return 0
 
@@ -328,6 +324,8 @@ def cmd_waterfill(args) -> int:
 
 def cmd_extend(args) -> int:
     p = _load_input(args)
+    if args.n < 1:
+        raise InvalidParam(f"--n must be a positive integer, got {args.n}")
     reports = [extension_bounds(p, args.alpha, m) for m in range(1, args.n + 1)]
     table = {
         "n": np.array([r.n for r in reports], dtype=int),

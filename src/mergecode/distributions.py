@@ -216,9 +216,12 @@ def load_distribution(
     probs = doc["probabilities"]
     if not isinstance(probs, Sequence) or isinstance(probs, (str, bytes)):
         raise ParseError("'probabilities' must be an array of numbers")
-    for i, v in enumerate(probs):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"probabilities[{i}] must be a number, got {v!r}")
+    # JSON gives only int and float; the loop finds the first other entry,
+    # and accepts subclasses such as numpy floats (but not bool)
+    if not set(map(type, probs)) <= {int, float}:
+        for i, v in enumerate(probs):
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ParseError(f"probabilities[{i}] must be a number, got {v!r}")
     labels = doc.get("labels")
     if labels is not None and (
         not isinstance(labels, Sequence) or isinstance(labels, (str, bytes))

@@ -31,15 +31,15 @@ class ParseError(MergeCodeError):
     pass
 
 
-class AlphaOutOfRange(MergeCodeError):
+class InvalidParam(MergeCodeError):
+    pass
+
+
+class AlphaOutOfRange(InvalidParam):
     pass
 
 
 class SizeMismatch(MergeCodeError):
-    pass
-
-
-class InvalidParam(MergeCodeError):
     pass
 
 

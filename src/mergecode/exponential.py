@@ -17,6 +17,7 @@ import numpy as np
 from .codes import CodeLengths, _pack_lengths
 from .distributions import ProbabilityVector
 from .errors import InvalidParam, NoConvergence, SizeMismatch
+from .merging import _check_alpha
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
@@ -72,15 +73,14 @@ def solve_two_parameter(
     local slope about alpha*t, so large t oscillates without damping).
     Stops when the sup-norm of the undamped update drops below ``tol``.
 
-    Raises InvalidParam for t < 0 or alpha outside [0, 1]; NoConvergence
-    (carrying the best iterate) when the iteration cap is hit.
+    Raises InvalidParam for t < 0 and AlphaOutOfRange (a subclass) for alpha
+    outside [0, 1]; NoConvergence (carrying the best iterate) when the
+    iteration cap is hit.
     """
     t = float(t)
-    alpha = float(alpha)
     if not np.isfinite(t) or t < 0:
         raise InvalidParam(f"t must be >= 0, got {t}")
-    if not (0.0 <= alpha <= 1.0):
-        raise InvalidParam(f"alpha must be in [0, 1], got {alpha}")
+    alpha = _check_alpha(alpha)
     if tol <= 0:
         raise InvalidParam(f"tol must be positive, got {tol}")
 

@@ -28,11 +28,11 @@ class ExtensionReport:
     upper: float
 
 
-def extend(p: ProbabilityVector, n: int) -> ProbabilityVector:
-    """Product distribution over length-n blocks, canonicalized.
+def _block_probs(p: ProbabilityVector, n: int) -> np.ndarray:
+    """Probabilities of the length-n blocks, in ``itertools.product`` order.
 
-    Block labels join the base labels (or indices) so outcomes stay
-    traceable after sorting.
+    Raises InvalidParam when a block probability underflows to 0, which
+    the source's own probabilities never are.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise InvalidParam(f"extension order must be a positive integer, got {n!r}")
@@ -46,11 +46,28 @@ def extend(p: ProbabilityVector, n: int) -> ProbabilityVector:
     block = p.probs
     for _ in range(n - 1):
         block = np.multiply.outer(block, p.probs).ravel()
+    # the last block is p_min**n, the smallest, as rounding is monotone
+    if block[-1] == 0.0:
+        raise InvalidParam(
+            f"the order-{n} block product underflows to 0: the smallest "
+            f"probability {float(p.probs[-1])!r} to the power {n} is below "
+            f"the smallest float"
+        )
+    return block
+
+
+def extend(p: ProbabilityVector, n: int) -> ProbabilityVector:
+    """Product distribution over length-n blocks, canonicalized.
+
+    Block labels join the base labels (or indices) so outcomes stay
+    traceable after sorting.
+    """
+    block = _block_probs(p, n)
     base_labels = (
         p.labels if p.labels is not None else tuple(str(i) for i in range(p.size))
     )
     labels = [
-        "".join(combo) for combo in itertools.product(base_labels, repeat=n)
+        "".join(combo) for combo in itertools.product(base_labels, repeat=int(n))
     ]
     return canonicalize(block, p.radix, labels=labels)
 
@@ -64,7 +81,7 @@ def extension_bounds(
     per-symbol pay-off always lies in [H(w)/n, H(w)/n + 1/n) where w is the
     extension's weight vector at this alpha.
     """
-    pn = extend(p, n)
+    pn = canonicalize(_block_probs(p, n), p.radix)
     schedule = build_schedule(pn)
     w = weights_at(schedule, pn, alpha)
     lengths = lengths_from_weights(w, pn.radix)

@@ -138,9 +138,21 @@ def _segment_index(schedule: MergeSchedule, alpha: float) -> int:
     return int(np.searchsorted(schedule.alphas, alpha, side="right")) - 1
 
 
-def _check_alpha(alpha: float) -> float:
+def _check_alpha(alpha):
+    """The one alpha-domain check: alpha in [0, 1], as a float.
+
+    Takes one alpha or a whole 1-d grid of them (returned as given).  The
+    comparisons are false for NaN, so NaN is rejected along with +-inf.
+    """
+    if isinstance(alpha, np.ndarray) and alpha.ndim:
+        bad = ~((alpha >= 0.0) & (alpha <= 1.0))
+        if bad.any():
+            raise AlphaOutOfRange(
+                f"alpha must be in [0, 1], got {float(alpha[bad][0])}"
+            )
+        return alpha
     alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0) or not np.isfinite(alpha):
+    if not (0.0 <= alpha <= 1.0):
         raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
     return alpha
 
@@ -176,3 +188,31 @@ def merged_cardinality(schedule: MergeSchedule, alpha: float) -> int:
     if alpha >= schedule.alpha_max:
         return n
     return _segment_index(schedule, alpha) + 1
+
+
+def _segments_on_grid(
+    schedule: MergeSchedule, grid
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked grid, active segment and shared weight at every grid alpha.
+
+    The batched form of ``weights_at``: one ``searchsorted`` with the tie
+    rule of ``_segment_index`` and the same line per segment, so each shared
+    weight is bitwise the one ``weights_at`` gives.  Where the weights are
+    uniform (alpha at or past ``alpha_max``, or n = 1) the segment is the
+    last one, n - 1, and the shared weight is 1/n: the whole alphabet is one
+    merged block.  The merged set of point g is the last ``k[g] + 1``
+    symbols.  Raises AlphaOutOfRange as ``weights_at`` would on any point.
+    """
+    grid = _check_alpha(np.array(grid, dtype=float, ndmin=1))
+    n = schedule.size
+    k = np.searchsorted(schedule.alphas, grid, side="right")
+    k -= 1
+    wstar = grid - schedule.alphas[k]
+    wstar *= schedule.slope[k]
+    wstar += schedule.wstar_at_breakpoint[k]
+    uniform = grid >= schedule.alpha_max
+    if n == 1:
+        uniform[:] = True
+    k[uniform] = n - 1
+    wstar[uniform] = 1.0 / n
+    return grid, k, wstar

@@ -9,7 +9,8 @@ the clipped excess sums to alpha:
 Because the probabilities are sorted, the flooded set is always a suffix and
 the level solves in closed form per candidate suffix size, so no tolerance
 enters the level itself.  This module deliberately shares no code with the
-merging rule; agreement between the two is a cross-check both rely on.
+merging rule (only its alpha-domain check and result type); agreement
+between the two is a cross-check both rely on.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbabilityVector
-from .errors import AlphaOutOfRange, Infeasible
-from .merging import WeightVector
+from .errors import Infeasible
+from .merging import WeightVector, _check_alpha
 
 # Levels within this of 1/n count as attainable; beyond it no alpha exists.
 LEVEL_SLACK = 1e-12
@@ -43,13 +44,6 @@ class WaterLevel:
     def flooded(self) -> frozenset[int]:
         """Canonical indices of the flooded symbols."""
         return frozenset(range(self.size - self.flooded_count, self.size))
-
-
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 <= alpha <= 1.0) or not np.isfinite(alpha):
-        raise AlphaOutOfRange(f"alpha must be in [0, 1], got {alpha}")
-    return alpha
 
 
 def _flood_suffix_size(probs: np.ndarray, alpha: float) -> tuple[int, float]:

@@ -199,6 +199,28 @@ class TestExtend:
             n, lower, per, upper = line.split(",")
             assert float(lower) - 1e-9 <= float(per) < float(upper)
 
+    @pytest.mark.parametrize("order", ["0", "-2"])
+    def test_order_below_one_is_a_parameter_error(self, capsys, ex1_path, order):
+        code, out, err = run(
+            capsys, "extend", "--input", ex1_path, "--n", order, "--alpha", "0.3"
+        )
+        assert code == 1
+        assert out == ""
+        assert "--n must be a positive integer" in err
+
+    def test_underflowing_block_names_the_underflow(self, capsys, tmp_path):
+        path = tmp_path / "denormal.json"
+        path.write_text(json.dumps({"radix": 2, "probabilities": [0.5, 0.5, 5e-324]}))
+        code, out, _ = run(
+            capsys, "extend", "--input", str(path), "--n", "1", "--alpha", "0.3"
+        )
+        assert code == 0 and len(out.splitlines()) == 2
+        code, _, err = run(
+            capsys, "extend", "--input", str(path), "--n", "2", "--alpha", "0.3"
+        )
+        assert code == 1
+        assert "underflows" in err and "zero probabilities" not in err
+
 
 class TestIngest:
     def test_counts_to_probabilities(self, capsys, ex2_path, tmp_path):

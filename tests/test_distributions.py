@@ -180,6 +180,27 @@ def test_load_distribution_parse_errors():
         load_distribution('{"radix": 2, "probabilities": [0.5, 0.5], "labels": ["a"]}')
 
 
+def test_load_distribution_checks_entry_types_without_a_loop(monkeypatch):
+    # a valid document needs no per-entry Python check; a bad entry is still
+    # named by index, and numpy floats still pass
+    import mergecode.distributions as dist
+
+    calls = []
+
+    def counting_isinstance(obj, cls):
+        calls.append(obj)
+        return isinstance(obj, cls)
+
+    monkeypatch.setattr(dist, "isinstance", counting_isinstance, raising=False)
+    probs = np.full(1000, 0.001).tolist()
+    assert load_distribution({"radix": 2, "probabilities": probs}).size == 1000
+    assert len(calls) < 20
+    with pytest.raises(ParseError, match=r"probabilities\[2\] must be a number"):
+        load_distribution({"radix": 2, "probabilities": [0.5, 0.25, True, 0.25]})
+    mixed = [np.float64(0.5), 0.25, 0.25]
+    assert load_distribution({"radix": 2, "probabilities": mixed}).size == 3
+
+
 def test_labels_follow_sort():
     p = load_distribution(
         '{"radix": 2, "probabilities": [0.2, 0.6, 0.2], "labels": ["x", "y", "z"]}'

@@ -52,6 +52,13 @@ class TestExtend:
         with pytest.raises(InvalidParam):
             extend(four_symbol_source, 0)
 
+    def test_underflowing_block_product(self):
+        p = canonicalize([0.5, 0.5, 5e-324], 2)
+        assert extend(p, 1).size == 3
+        for call in (lambda: extend(p, 2), lambda: extension_bounds(p, 0.3, 2)):
+            with pytest.raises(InvalidParam, match="underflows to 0"):
+                call()
+
 
 class TestExtensionBounds:
     def test_dyadic_block_code_is_tight(self):
