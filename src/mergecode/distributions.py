@@ -72,6 +72,9 @@ def canonicalize(
 
     Entries must be non-negative and sum to (approximately) 1; sums off by
     more than ``SILENT_RENORM_WINDOW`` are renormalized with a warning flag.
+    Zeros, including entries that renormalizing underflows to 0, raise
+    ZeroProbability, or with ``drop_zeros`` are dropped and their labels
+    reported in ``dropped_labels``.
     The sort is stable and descending, so equal probabilities keep their
     input order.
 
@@ -89,8 +92,9 @@ def canonicalize(
         raise NotNormalizable("probability vector contains non-finite entries")
     if np.any(arr < 0):
         raise NotNormalizable("probability vector contains negative entries")
-    if float(arr.sum()) <= 0:
-        raise NotNormalizable(f"probability vector sums to {float(arr.sum())}")
+    total = float(arr.sum())
+    if total <= 0:
+        raise NotNormalizable(f"probability vector sums to {total}")
 
     if labels is not None:
         labels = tuple(str(x) for x in labels)
@@ -99,30 +103,30 @@ def canonicalize(
                 f"labels length {len(labels)} does not match {arr.size} probabilities"
             )
 
+    renormalized = False
+    scaled = arr
+    if abs(total - 1.0) > RENORM_SKIP_WINDOW:
+        renormalized = abs(total - 1.0) > SILENT_RENORM_WINDOW
+        scaled = arr / total
     dropped: tuple[str, ...] = ()
-    if drop_zeros:
-        keep = arr > 0
+    # zeros are looked for after the division, which can underflow a denormal
+    if not scaled.min() > 0:
+        if not drop_zeros:
+            raise ZeroProbability(
+                "zero probabilities are not allowed (use drop_zeros to strip them)"
+                if np.any(arr == 0) else
+                f"renormalizing by the sum {total!r} underflowed "
+                f"{np.count_nonzero(scaled == 0)} probabilities to 0 "
+                "(use drop_zeros to strip them)"
+            )
+        keep = scaled > 0
         if labels is not None:
             dropped = tuple(lab for lab, k in zip(labels, keep) if not k)
             labels = tuple(lab for lab, k in zip(labels, keep) if k)
-        arr = arr[keep]
-        if arr.size == 0:
-            raise EmptyInput("all entries were zero")
-    elif np.any(arr == 0):
-        raise ZeroProbability(
-            "zero probabilities are not allowed (use drop_zeros to strip them)"
-        )
+        scaled = scaled[keep]
 
-    total = float(arr.sum())
-    if total <= 0:
-        raise NotNormalizable(f"probability vector sums to {total}")
-    renormalized = False
-    if abs(total - 1.0) > RENORM_SKIP_WINDOW:
-        renormalized = abs(total - 1.0) > SILENT_RENORM_WINDOW
-        arr = arr / total
-
-    order = np.argsort(-arr, kind="stable")
-    probs = np.ascontiguousarray(arr[order])
+    order = np.argsort(-scaled, kind="stable")
+    probs = np.ascontiguousarray(scaled[order])
     if labels is not None:
         ordered = np.empty(len(labels), dtype=object)
         ordered[:] = labels

@@ -60,9 +60,9 @@ class Infeasible(MergeCodeError):
 
 
 class NoConvergence(MergeCodeError):
-    """Iterative solver hit its iteration cap before reaching tolerance.
+    """Iterative solver stopped short of its tolerance.
 
-    The best iterate found is attached so callers can still inspect it.
+    The solution it stopped at is attached so callers can still inspect it.
     """
 
     def __init__(self, message: str, best, residual: float, iterations: int):

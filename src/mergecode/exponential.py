@@ -1,11 +1,23 @@
 """Two-parameter pay-off: average length blended with an exponential moment.
 
 Replacing the maximum length by (1/t) log of the exponential moment of the
-lengths gives a smooth two-parameter family whose optimality system is a
-fixed point in the tilted distribution.  The solver iterates that system in
-the log domain with adaptive damping; the alpha = 1 slice has a closed form
-tied to the Renyi entropy of order 1/(1+t), and as t grows the solutions
-approach the max/average merging solution.
+lengths, as in Campbell's coding theorem, gives a smooth two-parameter
+family.  Its optimal weights w = D**-l solve
+
+    w = alpha*nu + (1-alpha)*p,   nu proportional to p * w**-t.
+
+Writing w_i = a_i + e**v_i with a_i = (1-alpha)*p_i turns this into one
+equation per symbol,
+
+    t*ln(w_i) + v_i = s + ln(p_i),
+
+which fixes v_i(s) for a single shared scalar s, plus the normalization
+logsumexp(v(s)) = ln(alpha), i.e. sum(w - a) = alpha.  The left side of the
+per-symbol equation is convex and increasing in v_i, so Newton from the
+right of its root converges monotonically; the normalization is increasing
+in s and bracketed, so a safeguarded Newton on s finds it.  The alpha = 1
+slice has a closed form tied to the Renyi entropy of order 1/(1+t), and as
+t grows the solutions approach the max/average merging solution.
 """
 
 from __future__ import annotations
@@ -22,10 +34,22 @@ from .merging import _check_alpha
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
+_EPS = float(np.finfo(float).eps)
+# cap on the Newton steps of one per-symbol solve; near the root the error
+# squares each step (11 steps at most on stress sources with t up to 5000),
+# and a solve cut short here shows in the residual check
+_MAX_INNER = 100
+
 
 @dataclass(frozen=True, eq=False)
 class TiltedSolution:
-    """Converged lengths and tilted distribution for one (t, alpha) pair."""
+    """Lengths and tilted distribution for one (t, alpha) pair.
+
+    ``iterations`` counts the steps on the scalar s (1 for the closed-form
+    slices t = 0, alpha = 0 and alpha = 1); ``residual`` is the sup-norm
+    ``max|map(l) - l|`` of the fixed-point map
+    ``l -> -log_D(alpha*nu(l) + (1-alpha)*p)`` at the returned lengths.
+    """
 
     t: float
     alpha: float
@@ -58,6 +82,86 @@ def _tilt(log_p: np.ndarray, t: float, lengths: np.ndarray, lnD: float) -> np.nd
     return z - _logsumexp(z)
 
 
+def _map_residual(lengths: np.ndarray, log_p: np.ndarray, probs: np.ndarray,
+                  t: float, alpha: float, lnD: float) -> float:
+    """``max|map(l) - l|`` for l -> -log_D(alpha*nu(l) + (1-alpha)*p)."""
+    nu = np.exp(_tilt(log_p, t, lengths, lnD))
+    image = -np.log(alpha * nu + (1.0 - alpha) * probs) / lnD
+    return float(np.max(np.abs(image - lengths)))
+
+
+def _solve_v(b: np.ndarray, log_a: np.ndarray, t: float, v: np.ndarray,
+             tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on ``t*log(a + e**v) + v = b``, elementwise, from ``v``.
+
+    The left side is convex with slope 1 + t*r >= 1, r = e**v/(a + e**v),
+    and the ratio of its curvature to its slope is below 1, so from the
+    right of the root every step stays right of it and the error e becomes
+    at most e**2/2: once a step is below ``tol`` the error left is far
+    smaller.  Returns v and dv/db = 1/(1 + t*r).
+    """
+    for _ in range(_MAX_INNER):
+        log_w = np.logaddexp(log_a, v)
+        slope = 1.0 + t * np.exp(v - log_w)
+        step = (t * log_w + v - b) / slope
+        v = v - step
+        if np.max(np.abs(step)) <= tol:
+            break
+    return v, 1.0 / slope
+
+
+def _solve_s(log_p: np.ndarray, t: float, alpha: float, max_iter: int):
+    """Find s with logsumexp(v(s)) = ln(alpha); 0 < alpha < 1, t > 0.
+
+    The root lies in [lo, hi]: w >= a gives Z = sum(p*w**-t) <= sum(p*a**-t),
+    v <= (s + ln p)/(1 + t) gives the second lower end, and at the root
+    e**v_i <= alpha, so w_i <= a_i + alpha bounds Z from below.  Newton
+    steps use dPsi/ds = sum(softmax(v)_i * dv_i/ds) and fall back to
+    bisection when they leave the bracket.  Each v(s) is warm-started from
+    the tangent of the previous one: v(s) is concave, so the tangent lies
+    right of the new root, where the per-symbol Newton wants to start.
+
+    Returns (ln w, nu, steps, converged).
+    """
+    log_a = np.log1p(-alpha) + log_p
+    ln_alpha = float(np.log(alpha))
+    lo = max(ln_alpha - _logsumexp(log_p - t * log_a),
+             (1.0 + t) * (ln_alpha - _logsumexp(log_p / (1.0 + t))))
+    s = hi = ln_alpha - _logsumexp(log_p - t * np.logaddexp(log_a, ln_alpha))
+    # scale of the terms in t*ln(w) + v = s + ln(p), which sets their rounding
+    p_scale = float(-log_p.min()) - ln_alpha
+    v = slope = s_prev = None
+    converged = False
+    for step in range(1, max_iter + 1):
+        b = s + log_p
+        start = np.minimum(b - t * log_a, b / (1.0 + t))
+        if v is not None:
+            start = np.minimum(start, v + slope * (s - s_prev))
+        v, slope = _solve_v(b, log_a, t, start,
+                            max(1e-9, 64.0 * _EPS * (abs(s) + p_scale)))
+        top = v.max()
+        e = np.exp(v - top)
+        total = e.sum()
+        gap = float(top + np.log(total)) - ln_alpha
+        dpsi = float(np.dot(e, slope)) / total
+        if gap > 0.0:
+            hi = s
+        else:
+            lo = s
+        # one spacing of s moves Psi by about |s|*dPsi ulps, so this is as
+        # close as the normalization can be resolved
+        if abs(gap) <= 16.0 * _EPS * (1.0 + abs(s) * dpsi):
+            converged = True
+            break
+        s_prev, s = s, s - gap / dpsi
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        if abs(s - s_prev) <= 2.0 * _EPS * abs(s_prev):
+            converged = True
+            break
+    return np.logaddexp(log_a, v), e / total, step, converged
+
+
 def solve_two_parameter(
     p: ProbabilityVector,
     t: float,
@@ -65,17 +169,25 @@ def solve_two_parameter(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> TiltedSolution:
-    """Solve the tilted fixed point  D**-l = alpha*nu + (1-alpha)*p.
+    """Solve  D**-l = alpha*nu + (1-alpha)*p  with nu proportional to p*D**(t*l).
 
-    Starts from the plain-entropy lengths and repeatedly applies the map
-    l -> -log(alpha*nu(l) + (1-alpha)*p), damped by a mixing factor that
-    shrinks geometrically whenever the residual grows (the undamped map has
-    local slope about alpha*t, so large t oscillates without damping).
-    Stops when the sup-norm of the undamped update drops below ``tol``.
+    For 0 < alpha < 1 and t > 0 this finds the scalar s of the module
+    docstring in the bracket [ln(alpha) - ln(sum(p*a**-t)), ln(alpha)]
+    (narrowed as in ``_solve_s``) by safeguarded Newton, solving each
+    symbol's equation by Newton inside every step; the number of steps does
+    not grow with t.  alpha = 1 is ``closed_form_alpha1``, and t = 0 or
+    alpha = 0 is the Shannon code.
 
-    Raises InvalidParam for t < 0 and AlphaOutOfRange (a subclass) for alpha
-    outside [0, 1]; NoConvergence (carrying the best iterate) when the
-    iteration cap is hit.
+    ``iterations`` counts the steps on s, at most ``max_iter``.
+    ``residual`` is ``max|map(l) - l|`` for the fixed-point map
+    l -> -log_D(alpha*nu(l) + (1-alpha)*p); at the correctly rounded
+    solution it is about eps*t*max(l)*ln(D), from the rounding of the
+    exponent t*l*ln(D).
+
+    Raises InvalidParam for t < 0, tol <= 0 or max_iter < 1, and
+    AlphaOutOfRange (a subclass) for alpha outside [0, 1]; NoConvergence,
+    carrying the solution reached, when ``max_iter`` steps do not pin s
+    down or the residual exceeds ``tol``.
     """
     t = float(t)
     if not np.isfinite(t) or t < 0:
@@ -83,55 +195,39 @@ def solve_two_parameter(
     alpha = _check_alpha(alpha)
     if tol <= 0:
         raise InvalidParam(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise InvalidParam(f"max_iter must be >= 1, got {max_iter}")
 
     probs = p.probs
     lnD = np.log(p.radix)
     log_p = np.log(probs)
-    shannon = -log_p / lnD
 
     if t == 0.0 or alpha == 0.0:
         # no tilt (or no weight on it): the average-length optimum directly
+        shannon = -log_p / lnD
         nu = np.exp(_tilt(log_p, t, shannon, lnD))
         return TiltedSolution(
             t=t, alpha=alpha, lengths=_pack_lengths(shannon, p.radix),
             nu=nu, iterations=1, residual=0.0,
         )
 
-    l = shannon.copy()
-    eta = min(1.0, 1.0 / (1.0 + alpha * t))
-    eta_min = 1.0 / (4.0 * (1.0 + t))
-    prev_res = np.inf
-    best_l, best_res = l, np.inf
-    for iteration in range(1, max_iter + 1):
-        log_nu = _tilt(log_p, t, l, lnD)
-        if alpha >= 1.0:
-            log_q = log_nu
-        else:
-            log_q = np.log(alpha * np.exp(log_nu) + (1.0 - alpha) * probs)
-        l_new = -log_q / lnD
-        res = float(np.max(np.abs(l_new - l)))
-        if res < best_res:
-            best_res, best_l = res, l_new
-        if res <= tol:
-            return TiltedSolution(
-                t=t, alpha=alpha, lengths=_pack_lengths(l_new, p.radix),
-                nu=np.exp(log_nu), iterations=iteration, residual=res,
-            )
-        if res > prev_res:
-            eta = max(eta / 2.0, eta_min)
-        l = l + eta * (l_new - l)
-        prev_res = res
-
-    best = TiltedSolution(
-        t=t, alpha=alpha, lengths=_pack_lengths(best_l, p.radix),
-        nu=np.exp(_tilt(log_p, t, best_l, lnD)),
-        iterations=max_iter, residual=best_res,
-    )
-    raise NoConvergence(
-        f"fixed point not within {tol} after {max_iter} iterations "
-        f"(best residual {best_res:.3e})",
-        best=best, residual=best_res, iterations=max_iter,
-    )
+    if alpha == 1.0:
+        lengths = closed_form_alpha1(p, t)
+        nu = np.exp(_tilt(log_p, t, lengths.real_lengths, lnD))
+        steps, converged = 1, True
+    else:
+        log_w, nu, steps, converged = _solve_s(log_p, t, alpha, max_iter)
+        lengths = _pack_lengths(-log_w / lnD, p.radix)
+    res = _map_residual(lengths.real_lengths, log_p, probs, t, alpha, lnD)
+    sol = TiltedSolution(t=t, alpha=alpha, lengths=lengths, nu=nu,
+                         iterations=steps, residual=res)
+    if not converged or res > tol:
+        raise NoConvergence(
+            f"tilted system not solved to {tol} in {steps} steps "
+            f"(residual {res:.3e})",
+            best=sol, residual=res, iterations=steps,
+        )
+    return sol
 
 
 def closed_form_alpha1(p: ProbabilityVector, t: float) -> CodeLengths:

@@ -62,6 +62,16 @@ def test_canonicalize_errors():
         canonicalize([0.7, -0.2], 2)
 
 
+def test_renormalizing_underflow_is_a_zero_probability():
+    # 5e-324 / 4 rounds to 0, so the zero appears only after the division
+    with pytest.raises(ZeroProbability, match="underflowed 1 probabilities"):
+        canonicalize([3.0, 1.0, 5e-324], 2)
+    p = canonicalize([3.0, 1.0, 5e-324], 2, labels=["a", "b", "c"], drop_zeros=True)
+    assert p.probs.tolist() == [0.75, 0.25]
+    assert p.labels == ("a", "b")
+    assert p.dropped_labels == ("c",)
+
+
 def test_drop_zeros_reports_labels():
     p = canonicalize([0.5, 0.0, 0.5], 2, labels=["a", "b", "c"], drop_zeros=True)
     assert p.dropped_labels == ("b",)
