@@ -344,10 +344,10 @@ def cmd_ingest(args) -> int:
     if args.raw:
         data = np.frombuffer(path.read_bytes(), dtype=np.uint8)
         counts = np.bincount(data, minlength=256)
-        # symbols in order of first occurrence; canonicalize's stable sort
-        # breaks count ties by this order
+        # symbols in order of first occurrence (the indices are distinct);
+        # canonicalize's stable order breaks count ties by this order
         symbols, first = np.unique(data, return_index=True)
-        symbols = symbols[np.argsort(first, kind="stable")]
+        symbols = symbols[np.argsort(first)]
         labels = ["0x%02x" % b for b in symbols.tolist()]
         p = from_counts(dict(zip(labels, counts[symbols].tolist())), args.radix or 2)
     else:

@@ -77,11 +77,15 @@ def entropy(probs: np.ndarray, radix: int) -> float:
 
 
 def snap_ceil(values: np.ndarray) -> np.ndarray:
-    """Ceiling that keeps near-integers (within INT_SNAP) unchanged."""
+    """Ceiling that keeps near-integers (within INT_SNAP) unchanged.
+
+    ceil(v) - 1 when v is at most INT_SNAP above it, else ceil(v): the same
+    as rounding to the nearest integer when that is within INT_SNAP, since
+    v - (ceil(v) - 1) is exact wherever v has a fraction.
+    """
     values = np.asarray(values, dtype=float)
-    nearest = np.rint(values)
-    out = np.where(np.abs(values - nearest) <= INT_SNAP, nearest, np.ceil(values))
-    return out.astype(np.int64)
+    c = np.ceil(values)
+    return (c - (values - (c - 1) <= INT_SNAP)).astype(np.int64)
 
 
 def _pack_lengths(real: np.ndarray, radix: int) -> CodeLengths:

@@ -121,7 +121,7 @@ def _solve_s(log_p: np.ndarray, t: float, alpha: float, max_iter: int):
     the tangent of the previous one: v(s) is concave, so the tangent lies
     right of the new root, where the per-symbol Newton wants to start.
 
-    Returns (ln w, nu, steps, converged).
+    Returns (ln w, v, s + ln p, nu, steps, converged).
     """
     log_a = np.log1p(-alpha) + log_p
     ln_alpha = float(np.log(alpha))
@@ -159,7 +159,16 @@ def _solve_s(log_p: np.ndarray, t: float, alpha: float, max_iter: int):
         if abs(s - s_prev) <= 2.0 * _EPS * abs(s_prev):
             converged = True
             break
-    return np.logaddexp(log_a, v), e / total, step, converged
+    return np.logaddexp(log_a, v), v, b, e / total, step, converged
+
+
+def _equation_miss(log_w: np.ndarray, v: np.ndarray, b: np.ndarray, t: float) -> float:
+    """Worst ``|t*ln(w) + v - b|/(1 + t)`` over the symbols, b = s + ln(p).
+
+    It bounds the error of ln(w) to first order and rounds at about
+    eps*(|ln w| + 2|s|/(1 + t)), with no factor of t.
+    """
+    return float(np.max(np.abs(t * log_w + v - b))) / (1.0 + t)
 
 
 def solve_two_parameter(
@@ -182,12 +191,16 @@ def solve_two_parameter(
     ``residual`` is ``max|map(l) - l|`` for the fixed-point map
     l -> -log_D(alpha*nu(l) + (1-alpha)*p); at the correctly rounded
     solution it is about eps*t*max(l)*ln(D), from the rounding of the
-    exponent t*l*ln(D).
+    exponent t*l*ln(D).  A solution is accepted when the residual is within
+    ``tol`` or, past that floor, when each symbol's equation
+    t*ln(w) + v = s + ln(p), scaled by 1/(1 + t), is; that scaled equation
+    has no floor growing with t.  The normalization is solved to its own
+    rounding by the steps on s.
 
     Raises InvalidParam for t < 0, tol <= 0 or max_iter < 1, and
     AlphaOutOfRange (a subclass) for alpha outside [0, 1]; NoConvergence,
     carrying the solution reached, when ``max_iter`` steps do not pin s
-    down or the residual exceeds ``tol``.
+    down or neither the residual nor the equations are within ``tol``.
     """
     t = float(t)
     if not np.isfinite(t) or t < 0:
@@ -216,12 +229,16 @@ def solve_two_parameter(
         nu = np.exp(_tilt(log_p, t, lengths.real_lengths, lnD))
         steps, converged = 1, True
     else:
-        log_w, nu, steps, converged = _solve_s(log_p, t, alpha, max_iter)
+        log_w, v, b, nu, steps, converged = _solve_s(log_p, t, alpha, max_iter)
         lengths = _pack_lengths(-log_w / lnD, p.radix)
     res = _map_residual(lengths.real_lengths, log_p, probs, t, alpha, lnD)
     sol = TiltedSolution(t=t, alpha=alpha, lengths=lengths, nu=nu,
                          iterations=steps, residual=res)
-    if not converged or res > tol:
+    # a residual above tol may be its rounding floor, so the per-symbol
+    # equations decide then; the closed form needs no check
+    if converged and res > tol and alpha < 1.0:
+        converged = _equation_miss(log_w, v, b, t) <= tol
+    if not converged:
         raise NoConvergence(
             f"tilted system not solved to {tol} in {steps} steps "
             f"(residual {res:.3e})",

@@ -17,7 +17,7 @@ from mergecode import (
     payoff_curve,
     weights_at,
 )
-from mergecode.codes import snap_ceil
+from mergecode.codes import INT_SNAP, snap_ceil
 from mergecode.merging import WeightVector
 from mergecode.oracle import brute_force_optimal
 from conftest import random_source
@@ -49,6 +49,48 @@ class TestLengthsFromWeights:
     def test_snap_ceil_keeps_exact_integers(self):
         vals = np.array([3.0, 3.0 + 5e-10, 3.0 - 5e-10, 2.2, 2.999])
         assert snap_ceil(vals).tolist() == [3, 3, 3, 3, 3]
+
+
+def _snap_ceil_by_rint(values):
+    """The reference: the nearest integer when within INT_SNAP, else ceil."""
+    nearest = np.rint(values)
+    out = np.where(np.abs(values - nearest) <= INT_SNAP, nearest, np.ceil(values))
+    return out.astype(np.int64)
+
+
+def _ulp_walk(x, steps=4):
+    """x and the ``steps`` floats on either side of it."""
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=0, max_value=2**62),
+    st.sampled_from([0.0, INT_SNAP, -INT_SNAP, 0.5, -0.5, 0.25]),
+)
+def test_snap_ceil_matches_the_rint_form(k, offset):
+    # near k +- INT_SNAP, half-integers, 0 and beyond 2**52, where floats
+    # hold only integers and ceil - 1 may round back to ceil
+    vals = np.array(_ulp_walk(float(k) + offset))
+    vals = vals[vals >= 0]
+    assert np.array_equal(snap_ceil(vals), _snap_ceil_by_rint(vals))
+
+
+def test_snap_ceil_matches_the_rint_form_on_the_edges():
+    bases = [0.0, INT_SNAP, 0.5]
+    for k in [*range(1, 70), *(2.0**e + d for e in range(51, 62) for d in (0, 1, 2, 3))]:
+        bases += [k, k + INT_SNAP, k - INT_SNAP, k + 0.5, k - 0.5]
+    vals = np.array([v for b in bases for v in _ulp_walk(float(b), 8)])
+    vals = vals[vals >= 0]
+    assert np.array_equal(snap_ceil(vals), _snap_ceil_by_rint(vals))
+    lengths = np.random.default_rng(5).exponential(20.0, 100_000)
+    assert np.array_equal(snap_ceil(lengths), _snap_ceil_by_rint(lengths))
 
 
 class TestPayoff:

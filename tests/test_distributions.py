@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mergecode import (
@@ -16,6 +16,7 @@ from mergecode import (
     from_counts,
     load_distribution,
 )
+from mergecode.distributions import RENORM_SKIP_WINDOW
 
 positive_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=10
@@ -77,6 +78,19 @@ def test_drop_zeros_reports_labels():
     assert p.dropped_labels == ("b",)
     assert p.labels == ("a", "c")
     np.testing.assert_allclose(p.probs, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("raw, kept", [
+    ([0.5, 0.0, 0.5], [0.5, 0.5]),
+    ([3.0, 1.0, 5e-324], [0.75, 0.25]),  # 5e-324 / 4 underflows to 0
+])
+@pytest.mark.parametrize("labels", [None, ["a", "b", "c"]])
+def test_drop_zeros_counts_the_dropped_entries(raw, kept, labels):
+    p = canonicalize(raw, 2, labels=labels, drop_zeros=True)
+    assert p.probs.tolist() == kept
+    assert p.dropped_count == 1
+    assert len(p.dropped_labels) == (0 if labels is None else 1)
+    assert canonicalize(kept, 2).dropped_count == 0
 
 
 def test_renormalization_flag():
@@ -216,3 +230,105 @@ def test_labels_follow_sort():
         '{"radix": 2, "probabilities": [0.2, 0.6, 0.2], "labels": ["x", "y", "z"]}'
     )
     assert p.labels == ("y", "x", "z")
+
+
+def test_load_distribution_checks_count_types_without_a_loop(monkeypatch):
+    import mergecode.distributions as dist
+
+    calls = []
+
+    def counting_isinstance(obj, cls):
+        calls.append(obj)
+        return isinstance(obj, cls)
+
+    monkeypatch.setattr(dist, "isinstance", counting_isinstance, raising=False)
+    counts = {f"s{i}": i % 7 + 1 for i in range(1000)}
+    counts["big"] = 2.5
+    assert load_distribution({"radix": 2, "counts": counts}).size == 1001
+    assert len(calls) < 20
+    with pytest.raises(ParseError, match=r"count for 'c' must be a number, got True"):
+        load_distribution({"radix": 2, "counts": {"a": 1, "b": 2, "c": True}})
+    with pytest.raises(ParseError, match=r"count for 'b' must be a number"):
+        load_distribution({"radix": 2, "counts": {"a": 1, "b": "2"}})
+    assert load_distribution({"radix": 2, "counts": {"a": np.float64(3.0), "b": 1}}).size == 2
+
+
+def _stable_reference(raw):
+    """The stable descending argsort of the vector canonicalize sorts."""
+    x = np.asarray(raw, dtype=float)
+    total = x.sum()
+    if abs(total - 1.0) > RENORM_SKIP_WINDOW:
+        x = x / total
+    x = x[x > 0]
+    order = np.argsort(-x, kind="stable")
+    return order, x
+
+
+tied_values = st.sampled_from([1.0, 2.0, 3.0, 0.25, 0.5, 1e-300, 1e-310, 5e-324])
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(tied_values, min_size=1, max_size=80),
+    st.lists(st.integers(min_value=0, max_value=4).map(float), min_size=1, max_size=80),
+    st.lists(st.floats(min_value=5e-324, max_value=1.0), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=200).map(lambda n: [1.0 / n] * n),
+))
+def test_order_is_the_stable_descending_argsort(raw):
+    # ties, integer counts, denormals, all equal and n = 1; the sums are
+    # mostly not 1, so most of these are renormalized first
+    assume(sum(raw) > 0)
+    order, x = _stable_reference(raw)
+    p = canonicalize(raw, 2, drop_zeros=True)
+    assert p.perm.dtype == np.intp
+    assert np.array_equal(p.perm, order)
+    assert np.array_equal(p.probs, x[p.perm])
+
+
+@pytest.mark.parametrize("n, kind", [
+    (1, "dirichlet"), (5000, "zipf"), (5000, "dirichlet"), (3000, "equal"),
+])
+def test_order_on_zipf_counts_and_large_sources(n, kind):
+    rng = np.random.default_rng(n)
+    if kind == "zipf":
+        # most symbols share their count with others
+        raw = (rng.multinomial(10**6, 1.0 / np.arange(1, n + 1) / np.sum(
+            1.0 / np.arange(1, n + 1))) + 1).astype(float)
+    elif kind == "equal":
+        raw = np.full(n, 7.0)
+    else:
+        raw = rng.dirichlet(np.ones(n))
+    order, x = _stable_reference(raw)
+    p = canonicalize(raw, 3)
+    assert np.array_equal(p.perm, order)
+    assert np.array_equal(p.probs, x[order])
+
+
+def test_labels_are_built_on_first_read():
+    raw = [0.1, 0.3, 0.3, 0.2, 0.1]
+    labels = [10, "b", 30, 4.5, "e"]  # non-str labels are stringified
+    p = canonicalize(raw, 2, labels=labels)
+    assert "labels" not in vars(p)
+    expected = tuple(str(labels[i]) for i in p.perm)
+    assert p.labels == expected == ("b", "30", "4.5", "10", "e")
+    assert type(p.labels) is tuple and all(type(s) is str for s in p.labels)
+    assert p.labels is p.labels
+    assert canonicalize(raw, 2).labels is None
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=30))
+def test_labels_and_dropped_labels_follow_the_order(counts):
+    assume(any(counts))
+    labels = list(range(100, 100 + len(counts)))
+    p = canonicalize(counts, 2, labels=labels, drop_zeros=True)
+    kept = [lab for lab, c in zip(labels, counts) if c]
+    assert p.labels == tuple(str(kept[i]) for i in p.perm)
+    assert p.dropped_labels == tuple(str(lab) for lab, c in zip(labels, counts) if not c)
+    assert p.dropped_count == counts.count(0)
+
+
+def test_from_counts_stringifies_keys():
+    p = from_counts({3: 5, "x": 0, 1: 5, 2.5: 9}, 2)
+    assert p.labels == ("2.5", "3", "1")
+    assert p.dropped_labels == ("x",)
+    assert p.dropped_count == 1

@@ -6,7 +6,7 @@ each s on every u_i = ln w_i.  The float probabilities are taken as exact,
 so the comparison measures the rounding of ``solve_two_parameter`` alone.
 """
 
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,6 +32,8 @@ def decimal_tilted(probs, t, alpha, radix):
     """Real lengths of the tilted system at 40 digits, each u_i to 1e-20."""
     with localcontext() as ctx:
         ctx.prec = 40
+        # p*a**-t overflows the default exponent range from t ~ 1e6
+        ctx.Emax, ctx.Emin = MAX_EMAX, MIN_EMIN
         p = [Decimal(float(x)) for x in probs]
         t, alpha = Decimal(float(t)), Decimal(float(alpha))
         ln_d = Decimal(radix).ln()
@@ -106,6 +108,19 @@ class TestLargeT:
     def test_ex1_converges(self, t):
         sol = solve_two_parameter(canonicalize(EX1, 2), t, 0.9)
         assert sol.residual <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("t", [1e6, 1e9])
+    def test_ex1_matches_the_reference_at_huge_t(self, t):
+        # the map residual of the correctly rounded solution reads about
+        # eps*t*l_max*ln(D) here, above DEFAULT_TOL; convergence is decided
+        # on the per-symbol equations scaled by 1/(1 + t), which have no
+        # such floor
+        p = canonicalize(EX1, 2)
+        for alpha in (1e-6, 0.5, 0.9, 1.0):
+            got = solve_two_parameter(p, t, alpha).lengths.real_lengths
+            ref = np.array(decimal_tilted(p.probs, t, alpha, 2))
+            err = np.max(np.abs(got - ref)) / (EPS * max(1.0, ref.max()))
+            assert err <= MAX_EPS, (t, alpha, err)
 
     def test_step_count_does_not_grow_with_t(self):
         # 1 to 7 steps here; the damped fixed point took 712 to 1104
