@@ -38,7 +38,7 @@ from .exponential import payoff_t, solve_two_parameter
 from .extension import extension_bounds
 from .limited import limited_code
 from .merging import build_schedule
-from .waterfilling import alpha_for_level, water_level, waterfill_weights
+from .waterfilling import alpha_for_level, waterfill_weights
 
 log = logging.getLogger("mergecode")
 
@@ -303,20 +303,19 @@ def cmd_waterfill(args) -> int:
     if (args.alpha is None) == (args.level is None):
         raise MergeCodeError("waterfill needs exactly one of --alpha / --level")
     alpha = args.alpha if args.level is None else alpha_for_level(p, args.level)
-    wl = water_level(p, alpha)
     w = waterfill_weights(p, alpha)
     doc = {
-        "level": wl.level,
-        "alpha": wl.alpha,
-        "flooded_count": wl.flooded_count,
+        "level": float(w.weights[w.merged_from]),
+        "alpha": w.alpha,
+        "flooded_count": p.size - w.merged_from,
         "weights": w.weights,
     }
     table = {
-        "alpha": wl.alpha,
+        "alpha": w.alpha,
         "symbol_index": p.perm,
         "label": _labels_of(p),
         "weight": w.weights,
-        "flooded": np.arange(p.size) >= p.size - wl.flooded_count,
+        "flooded": np.arange(p.size) >= w.merged_from,
     }
     _emit_object(doc, table, args)
     return 0

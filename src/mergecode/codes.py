@@ -154,8 +154,7 @@ def optimal_code(
 
 def default_alpha_grid(schedule: MergeSchedule, points: int = 1001) -> np.ndarray:
     """Uniform grid on [0, 1] plus every breakpoint, so kinks are sampled."""
-    grid = np.union1d(np.linspace(0.0, 1.0, points), schedule.alphas)
-    return grid[(grid >= 0.0) & (grid <= 1.0)]
+    return np.union1d(np.linspace(0.0, 1.0, points), schedule.alphas)
 
 
 def payoff_columns(

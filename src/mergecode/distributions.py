@@ -191,11 +191,7 @@ def canonicalize(
     )
 
 
-def from_counts(
-    counts: Mapping[str, int],
-    radix: int,
-    drop_zeros: bool = True,
-) -> ProbabilityVector:
+def from_counts(counts: Mapping[str, int], radix: int) -> ProbabilityVector:
     """Empirical distribution from symbol counts.
 
     Zero-count symbols are dropped and reported through ``dropped_labels``.
@@ -210,7 +206,7 @@ def from_counts(
     total = values.sum()
     if total <= 0:
         raise AllZeroCounts("all counts are zero")
-    return canonicalize(values / total, radix, labels=labels, drop_zeros=drop_zeros)
+    return canonicalize(values / total, radix, labels=labels, drop_zeros=True)
 
 
 def load_distribution(

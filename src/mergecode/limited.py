@@ -1,11 +1,8 @@
 """Minimum average length under a hard cap on the maximum length.
 
-The cap maps to a specific alpha of the max/average trade-off.  The shared
-weight at the breakpoints is non-decreasing, so one binary search finds the
-first segment whose shared weight grows to ``D**-l_lim`` (where the longest
-codeword fits), and that segment's line gives the exact alpha.  Where
-near-tied probabilities make the float weights dip by an ulp, the segments
-there have near-zero width and their lines give the same alpha to rounding.
+The cap maps to the alpha at which the merged block's shared weight grows
+to ``D**-l_lim``, where the longest codeword fits: the merging rule's one
+level/cap inversion, which ``waterfilling.alpha_for_level`` uses too.
 """
 
 from __future__ import annotations
@@ -17,7 +14,13 @@ import numpy as np
 from .codes import CodeLengths, lengths_from_weights
 from .distributions import ProbabilityVector
 from .errors import Infeasible, InvalidParam
-from .merging import MergeSchedule, WeightVector, build_schedule, weights_at
+from .merging import (
+    MergeSchedule,
+    WeightVector,
+    _alpha_for_shared_weight,
+    build_schedule,
+    weights_at,
+)
 
 # Caps within this of the no-compression length log_D(n) map straight to
 # alpha_max; anything lower is infeasible, and resolving the segment line
@@ -45,15 +48,7 @@ def alpha_for_limit(
     Three regimes: a cap at or above the unconstrained maximum length needs
     no trade-off (alpha 0); a cap equal to log_D(n) forces the uniform code
     (alpha_max); in between, the cap pins the shared weight to
-    ``D**-l_lim``.  With ``m`` symbols merged in the active segment and
-    ``S_m`` their total mass, the merged block holds ``alpha + (1-alpha)*S_m``,
-    so
-
-        alpha = (m * D**-l_lim - S_m) / (1 - S_m).
-
-    ``S_m`` is summed over the merged symbols themselves, not taken as 1
-    minus the rest, so the difference keeps its relative accuracy when alpha
-    is tiny.
+    ``D**-l_lim``.
 
     Raises Infeasible (carrying log_D(n)) for caps below log_D(n).
     """
@@ -78,14 +73,9 @@ def alpha_for_limit(
         )
     if l_lim <= no_compression + EXACT_LIMIT_WINDOW:
         return schedule.alpha_max
-
-    # segment k ends where the shared weight reaches wstar[k+1]; the active
-    # one is the first whose right edge meets the cap (the last, n-2, if none)
-    target = p.radix ** (-l_lim)
-    k = int(np.searchsorted(schedule.wstar_at_breakpoint[1:n - 1], target))
-    merged = k + 1
-    merged_mass = float(probs[n - merged:].sum())
-    return (merged * target - merged_mass) / (1.0 - merged_mass)
+    return _alpha_for_shared_weight(
+        probs, schedule.wstar_at_breakpoint, p.radix ** (-l_lim)
+    )
 
 
 def limited_code(

@@ -26,6 +26,10 @@ class MergeSchedule:
     segments (repeated breakpoints), so the merged set can grow by more than
     one symbol at a single alpha.
 
+    With a_1 <= ... <= a_n the probabilities ascending, ``alphas[k] = G[k] /
+    (1 + G[k])`` and ``wstar_at_breakpoint[k] = a_{k+1} / (1 + G[k])``, where
+    ``G[k] = G[k-1] + k * (a_{k+1} - a_k)`` and ``G[0] = 0``.
+
     Fields, one entry per segment k = 0 .. n-1:
 
     - ``alphas``: breakpoints, ``alphas[0] == 0`` and ``alphas[-1]`` equals
@@ -73,20 +77,33 @@ class WeightVector:
         return int(self.weights.size)
 
 
+def _breakpoints(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``alphas`` and ``wstar_at_breakpoint`` by ``build_schedule``'s closed form.
+
+    G sums non-negative terms and ``G / (1 + G)`` divides G itself, not
+    ``1 + G`` less 1, so small breakpoints keep their relative accuracy.
+    """
+    ascending = probs[::-1]
+    odds = np.zeros(probs.size)
+    np.subtract(ascending[1:], ascending[:-1], out=odds[1:])
+    odds[1:] *= np.arange(1, probs.size)
+    np.cumsum(odds, out=odds)
+    scale = odds + 1.0
+    return np.divide(odds, scale, out=odds), np.divide(ascending, scale, out=scale)
+
+
 def build_schedule(p: ProbabilityVector) -> MergeSchedule:
     """Compute all breakpoints and segment coefficients in O(n).
 
-    Merging the next candidate probability ``p_next`` into a block whose
-    most recently merged probability is ``p_cur`` scales the unmerged share
-    ``1 - alpha`` by a known factor:
+    With the probabilities ascending, a_1 <= ... <= a_n, breakpoint k is the
+    alpha at which the k+1 smallest share ``(1 - alpha) * a_{k+1}``.  That
+    is one linear equation, ``1 / (1 - alphas[k]) = 1 + G[k]`` with
 
-        1 - alphas[k+1] = (1 - alphas[k]) * (slope[k] + p_cur)
-                                          / (slope[k] + p_next)
+        G[k] = G[k-1] + k * (a_{k+1} - a_k),    G[0] = 0,
 
-    so ``log(1 - alphas)`` is a cumulative sum of ``log1p`` terms, taken as
-    one numpy pass.  ``-expm1`` of that sum keeps full relative accuracy in
-    the small breakpoints, which ``1 - cumprod`` of the factors would lose.
-    No compression remains possible beyond ``alpha_max = 1 - 1/(n * p_max)``.
+    so ``alphas[k] = G[k] / (1 + G[k])`` and ``wstar_at_breakpoint[k] =
+    a_{k+1} / (1 + G[k])``, with no transcendental call.  No compression
+    remains possible beyond ``alpha_max = 1 - 1/(n * p_max)``.
     """
     probs = p.probs
     n = probs.size
@@ -100,24 +117,7 @@ def build_schedule(p: ProbabilityVector) -> MergeSchedule:
     tail_mass[:-1] = head_mass[-2::-1]
     card = np.arange(1, n + 1, dtype=np.intp)
     slope = tail_mass / card
-
-    # log(1 - alphas[k+1]) = sum over j <= k of
-    #     log1p(-(p_next - p_cur) / (slope[j] + p_next))
-    ascending = probs[::-1]
-    p_cur, p_next = ascending[:-1], ascending[1:]
-    log_keep = np.subtract(p_cur, p_next)
-    log_keep /= slope[:-1] + p_next
-    np.log1p(log_keep, out=log_keep)
-    np.cumsum(log_keep, out=log_keep)
-
-    alphas = np.zeros(n)
-    np.expm1(log_keep, out=alphas[1:])
-    # 0.0 - x, not -x: ties at p_min give breakpoints +0.0, not -0.0
-    np.subtract(0.0, alphas[1:], out=alphas[1:])
-    wstar = np.empty(n)
-    wstar[0] = probs[-1]
-    np.exp(log_keep, out=wstar[1:])
-    wstar[1:] *= p_next
+    alphas, wstar = _breakpoints(probs)
 
     return MergeSchedule(
         alphas=alphas,
@@ -127,6 +127,23 @@ def build_schedule(p: ProbabilityVector) -> MergeSchedule:
         tail_mass=tail_mass,
         slope=slope,
     )
+
+
+def _alpha_for_shared_weight(
+    probs: np.ndarray, wstar_at_breakpoint: np.ndarray, target: float
+) -> float:
+    """The level/cap inversion: smallest alpha with shared weight ``target``.
+
+    For p_min < target <= 1/n.  The first segment whose right edge reaches
+    the target (the last, n-2, if none) merges m symbols of mass S_m, summed
+    over them to keep tiny alphas accurate, so ``alpha + (1 - alpha) * S_m =
+    m * target``.  A near-tie's ulp dip in the weights is a near-zero-width
+    segment, which gives the same alpha to rounding.
+    """
+    n = probs.size
+    merged = int(np.searchsorted(wstar_at_breakpoint[1:n - 1], target)) + 1
+    merged_mass = float(probs[n - merged:].sum())
+    return (merged * target - merged_mass) / (1.0 - merged_mass)
 
 
 def _segment_index(schedule: MergeSchedule, alpha: float) -> int:

@@ -8,9 +8,10 @@ the clipped excess sums to alpha:
 
 Because the probabilities are sorted, the flooded set is always a suffix and
 the level solves in closed form per candidate suffix size, so no tolerance
-enters the level itself.  This module deliberately shares no code with the
-merging rule (only its alpha-domain check and result type); agreement
-between the two is a cross-check both rely on.
+enters the level itself.  This forward solve deliberately shares no code
+with the merging rule (only its alpha-domain check and result type);
+agreement between the two is a cross-check both rely on.  Its inverse is
+the merging rule's level/cap inversion, which ``limited`` uses too.
 """
 
 from __future__ import annotations
@@ -20,8 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ProbabilityVector
-from .errors import Infeasible
-from .merging import WeightVector, _check_alpha
+from .errors import Infeasible, InvalidParam
+from .merging import (
+    WeightVector,
+    _alpha_for_shared_weight,
+    _breakpoints,
+    _check_alpha,
+)
 
 # Levels within this of 1/n count as attainable; beyond it no alpha exists.
 LEVEL_SLACK = 1e-12
@@ -90,32 +96,20 @@ def alpha_for_level(p: ProbabilityVector, level: float) -> float:
 
     The level grows piecewise linearly from p_min at alpha 0 to 1/n, so any
     target at or below p_min needs no clipping (alpha 0) and any target
-    above 1/n is unattainable.
+    above 1/n is unattainable (Infeasible, carrying log_D(n)).  A level that
+    is not positive and finite raises InvalidParam.
     """
     level = float(level)
     if not np.isfinite(level) or level <= 0:
-        raise Infeasible(f"level must be positive, got {level}", 0.0)
+        raise InvalidParam(f"level must be positive, got {level}")
     probs = p.probs
     n = probs.size
     if level > 1.0 / n + LEVEL_SLACK:
         raise Infeasible(
-            f"level {level} exceeds the uniform weight 1/{n}", 1.0 / n
+            f"level {level} exceeds the uniform weight 1/{n}",
+            np.log(n) / np.log(p.radix),
         )
     level = min(level, 1.0 / n)
     if level <= float(probs[-1]):
         return 0.0
-
-    # candidate alpha for each suffix size m = 1 .. n-1, kept where the level
-    # sits between the scaled probabilities just inside and just outside
-    tail = np.cumsum(probs[:0:-1])  # tail[m-1] = mass of the m smallest
-    alpha = np.arange(1, n, dtype=float)
-    alpha *= level
-    alpha -= tail
-    alpha /= 1.0 - tail
-    keep = 1.0 - alpha
-    admissible = (alpha >= 0.0) & (alpha < 1.0)
-    admissible &= keep * probs[:0:-1] <= level + LEVEL_SLACK
-    admissible &= level <= keep * probs[-2::-1] + LEVEL_SLACK
-    if not admissible.any():
-        raise AssertionError("no admissible suffix when inverting the level")
-    return float(alpha[admissible].min())
+    return _alpha_for_shared_weight(probs, _breakpoints(probs)[1], level)

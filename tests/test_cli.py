@@ -180,6 +180,32 @@ class TestWaterfill:
         assert code == 2
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_level_exits_1_like_a_bad_cap(self, capsys, ex2_path, value):
+        code, out, err = run(capsys, "waterfill", "--input", ex2_path, "--level", value)
+        assert (code, out) == (1, "")
+        assert "error: level must be positive" in err
+        code, _, err = run(capsys, "limited", "--input", ex2_path, "--llim", value)
+        assert code == 1
+        assert "error: length cap must be positive" in err
+
+    def test_solves_the_flood_once(self, capsys, ex2_path, monkeypatch):
+        calls = []
+        flood = mergecode.waterfilling._flood_suffix_size
+
+        def counted(probs, alpha):
+            calls.append(alpha)
+            return flood(probs, alpha)
+
+        monkeypatch.setattr(mergecode.waterfilling, "_flood_suffix_size", counted)
+        code, out, _ = run(capsys, "waterfill", "--input", ex2_path, "--alpha", "0.3")
+        assert code == 0
+        assert calls == [0.3]
+        doc = json.loads(out)
+        wl = mergecode.water_level(mergecode.load_distribution(Path(ex2_path)), 0.3)
+        assert doc["level"] == pytest.approx(wl.level, rel=1e-11)
+        assert doc["flooded_count"] == wl.flooded_count
+
     def test_requires_exactly_one_parameter(self, capsys, ex1_path):
         code, _, err = run(capsys, "waterfill", "--input", ex1_path)
         assert code == 1

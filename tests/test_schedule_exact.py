@@ -2,12 +2,14 @@
 
 ``exact_schedule`` runs the breakpoint recursion in ``fractions.Fraction``
 on the float probabilities taken as exact rationals, so it measures the
-rounding of ``build_schedule`` and ``weights_at`` alone.  The scans at the
-bottom are the per-symbol loops that the vectorized inversions replace.
+rounding of ``build_schedule``, ``weights_at`` and the level/cap inversion
+alone.  The scans at the bottom are the per-symbol loops that the
+vectorized cap search and flood test replace.
 """
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -22,13 +24,18 @@ from mergecode import (
     waterfill_weights,
     weights_at,
 )
-from mergecode.waterfilling import LEVEL_SLACK
 
 EPS = np.finfo(float).eps
-# Worst seen over 4300 instances of the sources below: 4.6 ulps.  Computing
-# the breakpoints as 1 - cumprod of the merge factors instead loses the
-# relative accuracy of small breakpoints (errors of 1e15 ulps in alphas and
-# about 900 ulps in the weights on the Dirichlet(0.2) sources).
+# Worst seen, relative ulps, over 3800 instances of the schedule sources
+# below (these seeds and nine shifted sets): 4.5 in alphas, 3.3 in the
+# breakpoint weights, 2.5 in weights_at (3.3, 2.3 and 2.0 at these seeds).
+# At these seeds the log-domain product that the closed form replaced was
+# off by up to 156 ulps in the breakpoint weights of the wide-range sources
+# and 14 in the alphas of the Zipf-count sources.  The level/cap
+# inversions, absolute in units of EPS: 5.2 (level) and 5.0 (cap) at these
+# seeds, 8.5 and 7.6 over nine shifted sets.  Those are last segments where
+# 1 - S_m is about 0.07, so alpha moves by m / (1 - S_m), some 2300, per
+# unit of level: one ulp of the level there moves alpha by about 9 EPS.
 MAX_ULPS = 8.0
 
 
@@ -36,7 +43,7 @@ def exact_schedule(probs):
     """Breakpoints, breakpoint weights and slopes, in exact arithmetic."""
     q = [Fraction(x) for x in probs]
     n = len(q)
-    head = [sum(q[:i + 1], Fraction(0)) for i in range(n)]
+    head = list(accumulate(q))
     slope = [(head[n - 2 - k] if k < n - 1 else Fraction(0)) / (k + 1)
              for k in range(n)]
     alphas, wstar = [Fraction(0)], [q[-1]]
@@ -55,6 +62,17 @@ def exact_weights(exact, alpha):
     k = max(i for i in range(n) if alphas[i] <= a)
     shared = wstar[k] + (a - alphas[k]) * slope[k]
     return [(1 - a) * x for x in q[:n - 1 - k]] + [shared] * (k + 1)
+
+
+def exact_alpha_for_weight(exact, target):
+    """Smallest alpha whose shared weight is ``target`` (an exact rational).
+
+    Walks the exact breakpoint lines; needs p_min < target <= the last
+    breakpoint weight.
+    """
+    alphas, wstar, slope, q = exact
+    k = next(k for k in range(len(q) - 1) if wstar[k + 1] >= target)
+    return alphas[k] + (target - wstar[k]) / slope[k]
 
 
 def max_rel_ulps(got, want):
@@ -110,6 +128,29 @@ class TestExactReference:
             p = canonicalize(raw, 2)
             assert_matches_exact(p, float(rng.uniform(0.003, 0.006)))
 
+    def test_wide_range_sources(self):
+        # p ~ exp(-U(0, 600)) spans up to 260 decades, so p_max is near 1,
+        # alpha_max near 1 - 1/n and the breakpoint weights near 1/n hold
+        # only a sliver 1 - alpha of each probability
+        rng = np.random.default_rng(600)
+        for _ in range(40):
+            raw = np.exp(-rng.uniform(0.0, 600.0, int(rng.integers(2, 401))))
+            p = canonicalize(raw / raw.sum(), int(rng.integers(2, 5)))
+            top = float(build_schedule(p).alphas[-1])
+            assert_matches_exact(p, float(rng.uniform(0.0, top)))
+
+    def test_zipf_count_sources(self):
+        # Zipf(1) token counts plus one per symbol: long runs of tied small
+        # counts between distinct large ones, so many zero-width segments
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            n = int(rng.integers(2, 401))
+            zipf = 1.0 / np.arange(1, n + 1)
+            raw = rng.multinomial(10**5, zipf / zipf.sum()) + 1.0
+            p = canonicalize(raw / raw.sum(), int(rng.integers(2, 5)))
+            top = float(build_schedule(p).alphas[-1])
+            assert_matches_exact(p, float(rng.uniform(0.0, top)))
+
 
 # ------------------------------------------------ plain-Python scan oracles
 
@@ -141,23 +182,6 @@ def scan_flood(probs, alpha):
     raise AssertionError("no admissible suffix")
 
 
-def scan_alpha_for_level(probs, level, slack):
-    """Smallest admissible alpha over the suffix sizes m = 1 .. n-1."""
-    probs = probs.tolist()
-    n = len(probs)
-    running, best = 0.0, None
-    for m in range(1, n):
-        running += probs[n - m]
-        alpha = (m * level - running) / (1.0 - running)
-        if not 0.0 <= alpha < 1.0:
-            continue
-        inside = (1.0 - alpha) * probs[n - m] <= level + slack
-        outside = level <= (1.0 - alpha) * probs[n - m - 1] + slack
-        if inside and outside and (best is None or alpha < best):
-            best = alpha
-    return best
-
-
 def tied_and_zipf_sources():
     rng = np.random.default_rng(31)
     for _ in range(40):
@@ -171,11 +195,15 @@ def tied_and_zipf_sources():
 class TestInversionsAgainstScans:
     @pytest.mark.parametrize("radix", [2, 3])
     def test_tied_and_zipf_sources(self, radix):
+        # the level/cap inversion is also checked against the exact one,
+        # with the float target it sees taken as an exact rational
         rng = np.random.default_rng(radix)
         for raw in tied_and_zipf_sources():
             p = canonicalize(raw / raw.sum(), radix)
             n = p.size
             s = build_schedule(p)
+            exact = exact_schedule(p.probs.tolist())
+            lo, hi = exact[1][0], exact[1][-1]
             w = s.wstar_at_breakpoint
             assert np.all(np.diff(w) >= 0)
             assert np.all(np.diff(s.alphas) >= 0)
@@ -195,6 +223,10 @@ class TestInversionsAgainstScans:
                     continue
                 want = scan_alpha_for_limit(p, s, cap)
                 assert got == pytest.approx(want, rel=1e-12, abs=64 * EPS)
+                target = Fraction(radix ** -float(cap))  # the weight inverted
+                if lo < target <= hi:
+                    want = exact_alpha_for_weight(exact, target)
+                    assert abs(Fraction(got) - want) <= MAX_ULPS * EPS
 
             for alpha in list(s.alphas[:-1]) + list(rng.uniform(0, 1, 8)) + [1.0]:
                 m, level = scan_flood(p.probs, float(alpha))
@@ -209,7 +241,7 @@ class TestInversionsAgainstScans:
             levels = list(rng.uniform(float(p.probs[-1]), 1.0 / n, 8)) + list(w[1:])
             for level in levels:
                 level = float(level)
-                if level <= float(p.probs[-1]) or level > 1.0 / n:
+                if not lo < Fraction(level) <= hi:
                     continue
-                want = scan_alpha_for_level(p.probs, level, LEVEL_SLACK)
-                assert alpha_for_level(p, level) == want
+                want = exact_alpha_for_weight(exact, Fraction(level))
+                assert abs(Fraction(alpha_for_level(p, level)) - want) <= MAX_ULPS * EPS

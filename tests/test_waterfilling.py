@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mergecode import (
     AlphaOutOfRange,
     Infeasible,
+    InvalidParam,
     alpha_for_level,
     alpha_for_limit,
     build_schedule,
@@ -112,6 +113,25 @@ class TestAlphaForLevel:
     def test_level_above_uniform_weight_is_infeasible(self, eight_symbol_source):
         with pytest.raises(Infeasible):
             alpha_for_level(eight_symbol_source, 2.0**-2.5)
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_level_is_a_parameter_error(self, eight_symbol_source, level):
+        # the same class as a bad length cap, not Infeasible
+        with pytest.raises(InvalidParam, match="level must be positive"):
+            alpha_for_level(eight_symbol_source, level)
+        with pytest.raises(InvalidParam):
+            alpha_for_limit(eight_symbol_source, level)
+
+    @pytest.mark.parametrize("radix, n", [(2, 8), (3, 9), (4, 5)])
+    def test_infeasible_level_carries_the_uniform_length(self, radix, n):
+        # min_achievable is a length, log_D(n), as alpha_for_limit reports it
+        p = canonicalize(np.arange(1.0, n + 1) / (n * (n + 1) / 2), radix)
+        with pytest.raises(Infeasible, match=rf"exceeds the uniform weight 1/{n}$") as exc:
+            alpha_for_level(p, 2.0 / n)
+        assert exc.value.min_achievable == pytest.approx(np.log(n) / np.log(radix))
+        with pytest.raises(Infeasible) as cap_exc:
+            alpha_for_limit(p, 0.5 * np.log(n) / np.log(radix))
+        assert exc.value.min_achievable == cap_exc.value.min_achievable
 
     def test_level_below_smallest_probability_needs_no_clipping(
         self, eight_symbol_source
