@@ -58,9 +58,38 @@ def _float_cells(values: np.ndarray) -> list[str]:
     return ((FLOAT_FMT + "\n") * len(values) % tuple(values)).split("\n")[:-1]
 
 
-def _json_items(values: list) -> list[str]:
-    """JSON texts of a list's numbers or bools, by the C encoder."""
-    return json.dumps(values)[1:-1].split(", ") if values else []
+def _json_floats(values: np.ndarray) -> list[str]:
+    """JSON texts of the floats that ``FLOAT_FMT`` prints for ``values``.
+
+    Each is ``json.dumps(float(cell))`` of its cell; see ``_cells``.
+    """
+    return [
+        cell if cell[-4:-2] == "e-" or ("." in cell and "e" not in cell)
+        else cell + ".0" if "e" not in cell and cell[-1].isdigit()
+        else json.dumps(float(cell))
+        for cell in _float_cells(values)
+    ]
+
+
+def _json_items(values: np.ndarray) -> list[str]:
+    """JSON texts of an array's ints or bools, by the C encoder."""
+    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+def _by_runs(col: np.ndarray, texts) -> list[str]:
+    """``texts(col)``, with ``texts`` called once per run of equal values.
+
+    Values are equal when their bits are, so -0.0 and 0.0 are two runs and
+    NaNs with the same bits are one.  A column with no run longer than one
+    value goes to ``texts`` whole.
+    """
+    bits = col.view(f"i{col.itemsize}")
+    ends = np.flatnonzero(bits[1:] != bits[:-1])
+    if ends.size + 1 >= col.size:
+        return texts(col)
+    starts = np.concatenate(([0], ends + 1))
+    heads = np.array(texts(col[starts]), dtype=object)
+    return np.repeat(heads, np.diff(starts, append=col.size)).tolist()
 
 
 def _csv_label(label: str) -> str:
@@ -75,16 +104,32 @@ def _cells(col, json_form: bool) -> list[str]:
 
     Floats are printed with ``FLOAT_FMT``; as JSON they are those strings
     read back as floats, so a JSON float is ``repr(float("%.12g" % x))``.
-    Ints and bools read the same in CSV and JSON.
+    That is the cell itself, or the cell with ".0" appended when it is an
+    integer, except where the two notations part: exponents from e+12 up
+    (``repr`` writes fixed point up to 1e16), three-digit exponents (which
+    hold the subnormals, whose 12 digits are not the shortest that read
+    back, 5e-324 prints as 4.94065645841e-324), inf and nan.  Only those
+    cells go through ``json.dumps(float(cell))``.  The rest are exact:
+    normal doubles lie at most 2.3e-16 of their size apart and distinct
+    decimals of up to 12 significant digits at least 1e-12 of theirs, so no
+    other such decimal reads back to the cell's double, and ``repr``, the
+    shortest decimal that does, is the cell.  Ints and bools read the same
+    in CSV and JSON.
+
+    Canonical order puts equal values side by side (the merged block shares
+    one weight and one length), so each run of equal values is formatted
+    once and its text repeated.  CSV labels are quoted only when one of
+    them needs it.
     """
     if not isinstance(col, np.ndarray):
         if json_form:
             return list(map(encode_basestring_ascii, col))
-        return list(map(_csv_label, col))
+        if CSV_SPECIAL.search("".join(col)):
+            return list(map(_csv_label, col))
+        return list(col)
     if col.dtype.kind == "f":
-        cells = _float_cells(col)
-        return _json_items(list(map(float, cells))) if json_form else cells
-    return _json_items(col.tolist())
+        return _by_runs(col, _json_floats if json_form else _float_cells)
+    return _by_runs(col, _json_items)
 
 
 def _scalar_cell(value, json_form: bool) -> str:
@@ -148,22 +193,33 @@ def _emit_rows(table: dict, args) -> None:
     _emit("\n".join(lines) + "\n", args.output)
 
 
-def _emit_object(doc: dict, table: dict, args) -> None:
-    """Object-shaped result with a tabular alternative for --format csv."""
+def _emit_object(doc: dict, table, args) -> None:
+    """Object-shaped result with a tabular alternative for --format csv.
+
+    ``table`` is called for the table only when --format csv asks for it.
+    """
     if args.format == "csv":
-        _emit_rows(table, args)
+        _emit_rows(table(), args)
     else:
         _emit_json(doc, args.output)
 
 
-def _load_input(args) -> ProbabilityVector:
+def _input_path(args) -> Path:
     path = Path(args.input)
     if not path.exists():
         raise MergeCodeError(f"input file not found: {path}")
+    return path
+
+
+def _load_input(args) -> ProbabilityVector:
+    """The input distribution; a fix-up of it is logged as one warning."""
     p = load_distribution(
-        path, radix_override=args.radix, drop_zeros=args.drop_zeros
+        _input_path(args), radix_override=args.radix, drop_zeros=args.drop_zeros
     )
     log.info("loaded %d symbols, radix %d", p.size, p.radix)
+    if p.renormalized or p.dropped_count:
+        log.warning("input_fixup renormalized=%d dropped=%d",
+                    p.renormalized, p.dropped_count)
     return p
 
 
@@ -171,11 +227,11 @@ def _labels_of(p: ProbabilityVector) -> tuple[str, ...]:
     return p.labels if p.labels is not None else tuple(map(str, range(p.size)))
 
 
-def _symbol_table(p, alpha, weights, lengths) -> dict:
+def _symbol_table(p, labels, alpha, weights, lengths) -> dict:
     return {
         "alpha": float(alpha),
         "symbol_index": p.perm,
-        "label": _labels_of(p),
+        "label": labels,
         "weight": weights,
         "real_length": lengths.real_lengths,
         "int_length": lengths.int_lengths,
@@ -184,6 +240,8 @@ def _symbol_table(p, alpha, weights, lengths) -> dict:
 
 def cmd_schedule(args) -> int:
     p = _load_input(args)
+    if args.grid is not None and args.grid < 0:
+        raise InvalidParam(f"--grid must be a non-negative integer, got {args.grid}")
     schedule = build_schedule(p)
     if args.grid is None:
         table = {
@@ -213,10 +271,11 @@ def cmd_schedule(args) -> int:
 def cmd_code(args) -> int:
     p = _load_input(args)
     w, lengths, report = optimal_code(p, args.alpha)
+    labels = _labels_of(p)
     doc = {
         "alpha": report.alpha,
         "radix": p.radix,
-        "labels": _labels_of(p),
+        "labels": labels,
         "perm": p.perm,
         "weights": w.weights,
         "lengths_real": lengths.real_lengths,
@@ -229,7 +288,9 @@ def cmd_code(args) -> int:
         "kraft_real": lengths.kraft_real,
         "kraft_int": lengths.kraft_int,
     }
-    _emit_object(doc, _symbol_table(p, args.alpha, w.weights, lengths), args)
+    _emit_object(
+        doc, lambda: _symbol_table(p, labels, args.alpha, w.weights, lengths), args
+    )
     return 0
 
 
@@ -254,8 +315,9 @@ def cmd_limited(args) -> int:
         "avg_length": result.avg_length,
         "max_length": result.lengths.max_length,
     }
-    table = _symbol_table(p, result.alpha_hat, result.weights.weights, result.lengths)
-    _emit_object(doc, table, args)
+    _emit_object(doc, lambda: _symbol_table(
+        p, _labels_of(p), result.alpha_hat, result.weights.weights, result.lengths
+    ), args)
     return 0
 
 
@@ -285,7 +347,7 @@ def cmd_exp(args) -> int:
         "avg_length": report.avg_length,
         "renyi": report.renyi,
     }
-    table = {
+    _emit_object(doc, lambda: {
         "t": sol.t,
         "alpha": sol.alpha,
         "symbol_index": p.perm,
@@ -293,8 +355,7 @@ def cmd_exp(args) -> int:
         "nu": sol.nu,
         "real_length": sol.lengths.real_lengths,
         "int_length": sol.lengths.int_lengths,
-    }
-    _emit_object(doc, table, args)
+    }, args)
     return 0
 
 
@@ -310,14 +371,13 @@ def cmd_waterfill(args) -> int:
         "flooded_count": p.size - w.merged_from,
         "weights": w.weights,
     }
-    table = {
+    _emit_object(doc, lambda: {
         "alpha": w.alpha,
         "symbol_index": p.perm,
         "label": _labels_of(p),
         "weight": w.weights,
         "flooded": np.arange(p.size) >= w.merged_from,
-    }
-    _emit_object(doc, table, args)
+    }, args)
     return 0
 
 
@@ -337,11 +397,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    path = Path(args.input)
-    if not path.exists():
-        raise MergeCodeError(f"input file not found: {path}")
     if args.raw:
-        data = np.frombuffer(path.read_bytes(), dtype=np.uint8)
+        data = np.frombuffer(_input_path(args).read_bytes(), dtype=np.uint8)
         counts = np.bincount(data, minlength=256)
         # symbols in order of first occurrence (the indices are distinct);
         # canonicalize's stable order breaks count ties by this order
@@ -350,9 +407,7 @@ def cmd_ingest(args) -> int:
         labels = ["0x%02x" % b for b in symbols.tolist()]
         p = from_counts(dict(zip(labels, counts[symbols].tolist())), args.radix or 2)
     else:
-        p = load_distribution(
-            path, radix_override=args.radix, drop_zeros=args.drop_zeros
-        )
+        p = _load_input(args)
     if p.dropped_labels:
         log.info("dropped zero-count symbols: %s", ", ".join(p.dropped_labels))
     labels = _labels_of(p)
@@ -361,7 +416,7 @@ def cmd_ingest(args) -> int:
         "probabilities": p.probs,
         "labels": labels,
     }
-    _emit_object(doc, {"label": labels, "probability": p.probs}, args)
+    _emit_object(doc, lambda: {"label": labels, "probability": p.probs}, args)
     return 0
 
 
@@ -398,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("schedule", help="breakpoint table or alpha sweep")
     common(sp, "csv")
     sp.add_argument("--grid", type=int, nargs="?", const=1001,
-                    help="sweep this many uniform alphas (plus breakpoints)")
+                    help="sweep this many uniform alphas (plus breakpoints); "
+                    "0 sweeps the breakpoints only")
     sp.add_argument("--per-symbol", action="store_true",
                     help="emit per-symbol weight/length rows instead of the curve")
     sp.set_defaults(func=cmd_schedule)

@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mergecode
-from mergecode.cli import FLOAT_FMT, _emit_json, _emit_rows, main
+from mergecode.cli import (
+    FLOAT_FMT,
+    _cells,
+    _emit_json,
+    _emit_rows,
+    _json_floats,
+    main,
+)
 
 EX1 = {"radix": 2, "probabilities": [8 / 15, 4 / 15, 2 / 15, 1 / 15]}
 EX2 = {
@@ -468,6 +475,238 @@ def test_serializer_matches_reference(table, labels, scalar):
         rows = table_rows(table)
         want = reference_json(rows) if fmt == "json" else reference_csv(rows)
         assert printed(_emit_rows, table, args) == want
+
+
+def test_json_float_rule_matches_the_encoder():
+    """The JSON text of each ``FLOAT_FMT`` cell is ``json.dumps(float(cell))``.
+
+    Random mantissas at every binary exponent, subnormals included, both
+    signs, and the values where ``%g`` and ``repr`` part.
+    """
+    rng = np.random.default_rng(2024)
+    exponents = np.repeat(np.arange(-1074, 1024), 8)
+    values = np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents)
+    values = np.concatenate([values, -values, [
+        0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e12, 1e15, 1e16,
+        -1e12, 123456789012345.0, 5e-324, -5e-324, 3.0, 1e11, 1e-5, 1e-4,
+    ]])
+    cells = [FLOAT_FMT % v for v in values.tolist()]
+    want = [json.dumps(float(c)) for c in cells]
+    assert _json_floats(values) == want
+    assert _cells(values, True) == want
+
+
+NAN = float("nan")
+
+
+def run_column(draw, pool, n: int) -> list:
+    """n entries drawn from ``pool`` in runs of one to five equal values."""
+    out = []
+    while len(out) < n:
+        out += [draw(st.sampled_from(pool))] * draw(st.integers(1, 5))
+    return out[:n]
+
+
+@st.composite
+def run_tables(draw):
+    n = draw(st.integers(0, 30))
+    # -0.0 beside 0.0, and NaNs of both signs, are runs of different bits
+    float_pool = draw(st.lists(floats, min_size=1, max_size=3)) + [
+        -0.0, 0.0, NAN, -NAN,
+    ]
+    int_pool = draw(st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=3))
+    return {
+        "x": np.array(run_column(draw, float_pool, n), dtype=float),
+        "y": np.array(run_column(draw, float_pool, n), dtype=float),
+        "k": np.array(run_column(draw, int_pool + [0, -1], n), dtype=np.int64),
+        "flag": np.array(run_column(draw, [True, False], n), dtype=bool),
+        "label": run_column(draw, draw(st.lists(plain_labels, min_size=1,
+                                                max_size=3)), n),
+        "shared": draw(st.one_of(floats, st.integers(-9, 9), st.booleans())),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_tables())
+def test_serializer_matches_reference_on_runs(table):
+    """As test_serializer_matches_reference, on columns made of runs."""
+    doc = {**table, "count": len(table["label"])}
+    assert printed(_emit_json, doc, None) == reference_json(doc)
+    for fmt in ("json", "csv"):
+        args = SimpleNamespace(format=fmt, output=None)
+        rows = table_rows(table)
+        want = reference_json(rows) if fmt == "json" else reference_csv(rows)
+        assert printed(_emit_rows, table, args) == want
+
+
+def test_one_label_needing_quotes_among_plain_ones():
+    labels = [f"s{i}" for i in range(500)]
+    labels[317] = 'a,"b"'
+    table = {"label": labels, "k": np.arange(500)}
+    out = printed(_emit_rows, table, SimpleNamespace(format="csv", output=None))
+    lines = out.splitlines()
+    assert lines[318] == '"a,""b""",317'
+    assert lines[1] == "s0,0" and lines[500] == "s499,499"
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert header == ["label", "k"]
+    assert [row[0] for row in rows] == labels
+
+
+class TestGridOption:
+    @pytest.mark.parametrize("grid", ["-3", "-1"])
+    def test_negative_grid_is_a_parameter_error(self, capsys, ex1_path, grid):
+        code, out, err = run(capsys, "schedule", "--input", ex1_path, "--grid", grid)
+        assert (code, out) == (1, "")
+        assert err == f"error: --grid must be a non-negative integer, got {grid}\n"
+
+    def test_zero_grid_sweeps_the_breakpoints_only(self, capsys, ex1_path):
+        code, out, _ = run(capsys, "schedule", "--input", ex1_path, "--grid", "0")
+        assert code == 0
+        alphas = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+        assert alphas == pytest.approx([0.0, 1 / 16, 1 / 4, 17 / 32])
+
+
+class TestInputFixups:
+    SUBCOMMANDS = [
+        ["schedule"], ["code", "--alpha", "0.3"], ["limited", "--llim", "3"],
+        ["exp", "--t", "2", "--alpha", "0.5"], ["waterfill", "--alpha", "0.3"],
+        ["extend", "--n", "2", "--alpha", "0.3"], ["ingest"],
+    ]
+
+    @staticmethod
+    def fixups(caplog):
+        return [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING" and r.name == "mergecode"]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
+    def test_every_subcommand_warns_once(self, capsys, caplog, tmp_path, argv):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"radix": 2, "probabilities": [0.5, 0.3]}))
+        code, _, _ = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 0
+        assert self.fixups(caplog) == ["input_fixup renormalized=1 dropped=0"]
+
+    def test_dropped_zeros_are_counted(self, capsys, caplog, tmp_path):
+        path = tmp_path / "zeros.json"
+        path.write_text('{"radix": 2, "probabilities": [0.5, 0.0, 0.5, 0.0]}')
+        code, _, _ = run(capsys, "code", "--input", str(path), "--alpha", "0.1",
+                         "--drop-zeros")
+        assert code == 0
+        assert self.fixups(caplog) == ["input_fixup renormalized=0 dropped=2"]
+        path.write_text('{"radix": 2, "counts": {"a": 3, "b": 0, "c": 1}}')
+        run(capsys, "code", "--input", str(path), "--alpha", "0.1")
+        assert self.fixups(caplog)[1:] == ["input_fixup renormalized=0 dropped=1"]
+
+    def test_no_warning_without_a_fixup(self, capsys, caplog, ex1_path, ex2_path):
+        for path in (ex1_path, ex2_path):
+            run(capsys, "code", "--input", path, "--alpha", "0.3")
+        assert self.fixups(caplog) == []
+
+    def test_warning_is_one_stderr_line_and_stdout_is_unchanged(self, tmp_path):
+        src = str(Path(mergecode.__file__).parent.parent)
+        env = {k: v for k, v in os.environ.items() if k != "MERGECODE_LOG"}
+        env["PYTHONPATH"] = src
+        outs = {}
+        for name, probs in (("short", [0.5, 0.3]), ("exact", [0.625, 0.375])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"radix": 2, "probabilities": probs}))
+            outs[name] = subprocess.run(
+                [sys.executable, "-m", "mergecode.cli", "code", "--input",
+                 str(path), "--alpha", "0.3"],
+                capture_output=True, text=True, env=env,
+            )
+        assert outs["short"].returncode == outs["exact"].returncode == 0
+        assert outs["short"].stderr == (
+            "WARNING mergecode: input_fixup renormalized=1 dropped=0\n"
+        )
+        assert outs["exact"].stderr == ""
+        assert outs["short"].stdout == outs["exact"].stdout
+
+
+# ---------------------------------------------------------------------------
+# Edge sources through every subcommand, in both formats: the exit code is
+# the documented one, the output parses, and every float printed reads back
+# from its own ``FLOAT_FMT`` text.
+
+EDGE_SOURCES = {
+    "single": [1.0],
+    "ties": [0.25, 0.25, 0.25, 0.25],
+    "subnormal": [1.0, 5e-324],
+    "renormalized": [0.5, 0.3],
+}
+EDGE_COMMANDS = [
+    ["schedule"],
+    ["schedule", "--grid", "11"],
+    ["schedule", "--grid", "11", "--per-symbol"],
+    ["code", "--alpha", "1"],
+    ["limited", "--llim", "3"],
+    ["exp", "--t", "2", "--alpha", "1"],
+    ["waterfill", "--alpha", "1"],
+    ["extend", "--n", "2", "--alpha", "1"],
+    ["ingest"],
+]
+
+
+def edge_exit_code(source: str, argv: list) -> int:
+    # a block of two subnormal-probability symbols underflows to 0
+    return 1 if argv[0] == "extend" and source == "subnormal" else 0
+
+
+def printed_floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from printed_floats(v)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from printed_floats(v)
+
+
+def reads_back(x: float) -> bool:
+    return x != x or float(FLOAT_FMT % x) == x
+
+
+@pytest.mark.parametrize("source", EDGE_SOURCES)
+@pytest.mark.parametrize("argv", EDGE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_edge_sources_through_every_subcommand(capsys, tmp_path, source, argv, fmt):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"radix": 2, "probabilities": EDGE_SOURCES[source]}))
+    code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:],
+                         "--format", fmt)
+    assert code == edge_exit_code(source, argv), err
+    if code:
+        assert out == "" and err.startswith("error: ")
+        return
+    if fmt == "json":
+        values = list(printed_floats(json.loads(out)))
+        assert values and all(map(reads_back, values))
+        return
+    header, *rows = csv.reader(io.StringIO(out, newline=""))
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for key, cell in zip(header, row):
+            if key != "label" and cell not in ("true", "false"):
+                assert FLOAT_FMT % float(cell) == cell
+
+
+def test_subnormal_source_prints_a_subnormal(capsys, tmp_path):
+    """The subnormal edge source reaches the encoder's branch of the rule.
+
+    Its 12-digit cell is not the shortest text of its double, so the JSON
+    float is not the cell.
+    """
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"radix": 2, "probabilities": [1.0, 5e-324]}))
+    argv = ["schedule", "--input", str(path), "--grid", "3", "--format"]
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0
+    assert out.splitlines()[1].startswith("0,5.30132437988e-321,")
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0
+    assert '"payoff": 5.3e-321,' in out
+    assert json.loads(out)[0]["payoff"] == float("5.30132437988e-321")
 
 
 # ---------------------------------------------------------------------------
